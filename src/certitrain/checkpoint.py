@@ -2,8 +2,9 @@
 
 Layout: 4 magic bytes, little-endian u32 version, little-endian u32 header
 length, UTF-8 JSON header, then one little-endian float64 blob per parameter
-tensor in declaration order.  The header records enough structure to rebuild
-the network without consulting the architecture registry.
+tensor in declaration order, and nothing after the last blob.  The header
+records each layer's descriptor, enough structure to rebuild the network
+without consulting the architecture registry.
 """
 
 from __future__ import annotations
@@ -13,30 +14,16 @@ import struct
 
 import numpy as np
 
-from .net import Affine, Conv2d, Flatten, Network, ReLU
+from .net import LAYER_KINDS, Network
 
-__all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION"]
+__all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "MAGIC", "VERSION"]
 
 MAGIC = b"CTRN"
 VERSION = 1
 
 
-def _layer_descriptors(net: Network):
-    out = []
-    for layer in net.layers:
-        if isinstance(layer, Affine):
-            out.append({"kind": "affine", "out": layer.weight.shape[0],
-                        "in": layer.weight.shape[1]})
-        elif isinstance(layer, Conv2d):
-            out.append({"kind": "conv2d", "shape": list(layer.weight.shape),
-                        "stride": layer.stride, "padding": layer.padding})
-        elif isinstance(layer, ReLU):
-            out.append({"kind": "relu"})
-        elif isinstance(layer, Flatten):
-            out.append({"kind": "flatten"})
-        else:
-            raise TypeError(f"cannot serialize layer {layer!r}")
-    return out
+class CheckpointError(ValueError):
+    """The file is not a checkpoint this version can read."""
 
 
 def save_checkpoint(path, net: Network, meta=None):
@@ -47,7 +34,7 @@ def save_checkpoint(path, net: Network, meta=None):
         "input_shape": list(net.input_shape),
         "num_classes": net.num_classes,
         "split_index": net.split_index,
-        "layers": _layer_descriptors(net),
+        "layers": [layer.descriptor() for layer in net.layers],
         "tensor_shapes": [list(a.shape) for a in net.param_arrays()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -60,34 +47,54 @@ def save_checkpoint(path, net: Network, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (Network, meta)."""
+    """Read a checkpoint back into (Network, meta).
+
+    Raises :class:`CheckpointError` for any file that is not a well-formed
+    checkpoint; a missing or unreadable file raises the usual ``OSError``.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic)")
-        version, header_len = struct.unpack("<II", fh.read(8))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = []
-        for shape in header["tensor_shapes"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ValueError(f"{path}: truncated parameter blob")
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+        data = fh.read()
+    try:
+        return _parse(data)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({type(e).__name__}: {e})") from None
+
+
+def _parse(data):
+    if data[:4] != MAGIC:
+        raise CheckpointError("not a checkpoint (bad magic)")
+    if len(data) < 12:
+        raise CheckpointError("short header")
+    version, header_len = struct.unpack_from("<II", data, 4)
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    try:
+        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+    except ValueError:
+        raise CheckpointError("header is not UTF-8 JSON") from None
+    sizes = [int(np.prod(shape)) for shape in header["tensor_shapes"]]
+    offset, end = 12 + header_len, 12 + header_len + 8 * sum(sizes)
+    if len(data) != end:
+        raise CheckpointError("truncated parameter blob" if len(data) < end
+                              else "trailing bytes after the last parameter blob")
+    arrays = []
+    for shape, n in zip(header["tensor_shapes"], sizes):
+        arrays.append(np.frombuffer(data, "<f8", n, offset).reshape(shape).copy())
+        offset += 8 * n
     layers = []
-    it = iter(arrays)
     for desc in header["layers"]:
-        if desc["kind"] == "affine":
-            layers.append(Affine(next(it), next(it)))
-        elif desc["kind"] == "conv2d":
-            layers.append(Conv2d(next(it), next(it), desc["stride"], desc["padding"]))
-        elif desc["kind"] == "relu":
-            layers.append(ReLU())
-        elif desc["kind"] == "flatten":
-            layers.append(Flatten())
-        else:
-            raise ValueError(f"{path}: unknown layer kind {desc['kind']!r}")
+        cls = LAYER_KINDS.get(desc["kind"])
+        if cls is None:
+            raise CheckpointError(f"unknown layer kind {desc['kind']!r}")
+        n = len(cls.param_names)
+        if len(arrays) < n:
+            raise CheckpointError("fewer parameter tensors than the layers need")
+        layers.append(cls.from_descriptor(desc, arrays[:n]))
+        arrays = arrays[n:]
+    if arrays:
+        raise CheckpointError(f"{len(arrays)} parameter tensors left over after the last layer")
     net = Network(layers, header["split_index"], header["num_classes"],
                   tuple(header["input_shape"]))
     return net, header.get("meta", {})

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackConfig
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .connector import ConnectorParams
 from .data import (
     DATA_ENV_VAR,
@@ -323,7 +323,14 @@ def _certify_chunk(args):
     return out
 
 
+CERTIFY_METHODS = ("ibp", "pgd", "oracle")
+
+
 def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict:
+    """Certify the test set; ibp and pgd always run, ``oracle`` adds the exact oracle."""
+    unknown = sorted(set(methods) - set(CERTIFY_METHODS))
+    if unknown:
+        raise ConfigError(f"methods: unknown {', '.join(unknown)} (choose from {CERTIFY_METHODS})")
     net, meta = load_checkpoint(checkpoint_path)
     ds = prepared_test_set(config)
     if ds.sample_shape != net.input_shape:
@@ -552,7 +559,8 @@ def main(argv=None) -> int:
     _add_config_flags(p_cert)
     p_cert.add_argument("--checkpoint", required=True)
     p_cert.add_argument("--methods", default="ibp,pgd",
-                        help="comma list from {ibp,pgd,oracle}")
+                        help="comma list from {ibp,pgd,oracle}; ibp and pgd always run, "
+                             "oracle adds the exact margin oracle")
 
     p_tight = sub.add_parser("tightness", help="margin-error histograms vs exact oracle")
     _add_config_flags(p_tight)
@@ -584,7 +592,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (IOError, OSError) as e:
+    except (IOError, OSError, CheckpointError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
     return 0

@@ -55,7 +55,7 @@ def connector_partials(lo, hi, z_hat, params: ConnectorParams):
     else:
         # normalize by the width before dividing by c so subnormal widths
         # cannot underflow the band to zero
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rel_lo = (z_hat - lo) / width
             rel_hi = (hi - z_hat) / width
             d_lo = np.maximum(0.0, 1.0 - rel_lo / params.c)

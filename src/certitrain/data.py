@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class Dataset:
     images: np.ndarray           # (N, C, H, W) or (N, D)
     labels: np.ndarray           # (N,) int64
     num_classes: int
-    normalization: tuple = ((0.0,), (1.0,))  # per-channel (mean, std)
     domain01: bool = True
 
     def __post_init__(self):

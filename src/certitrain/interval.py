@@ -1,8 +1,10 @@
 """Differentiable interval (Box) propagation through networks or prefixes.
 
-Boxes are lower/upper tensor pairs; affine layers propagate the equivalent
-center/radius form (two linear maps: W on the center, |W| on the radius),
-which is exact per coordinate.  ReLU maps bounds elementwise.  The final
+Boxes are lower/upper tensor pairs.  Each layer's transfer is its own
+``box_on_tape`` (see :mod:`certitrain.net`): affine and conv layers propagate
+the equivalent center/radius form (two linear maps: W on the center, |W| on
+the radius), which is exact per coordinate, and ReLU maps bounds
+elementwise.  This module chains those transfers over a network.  The final
 affine layer can be elided per sample label so the propagated quantities are
 upper/lower bounds on logit differences.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .net import Affine, Conv2d, Flatten, Network, ReLU, lift_params
+from .net import Network, lift_params
 
 __all__ = [
     "BoxBounds",
@@ -48,13 +50,6 @@ class BoxBounds:
     def radius(self):
         return 0.5 * (self.hi - self.lo)
 
-    @classmethod
-    def from_center_radius(cls, center, radius):
-        return cls(center - radius, center + radius)
-
-    def contains(self, x, slack=0.0):
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
-
     def sample(self, n, rng):
         u = rng.uniform(size=(n,) + self.lo.shape)
         return self.lo[None] + u * (self.hi - self.lo)[None]
@@ -79,40 +74,6 @@ class TapedBox:
     lo: T.Node
     hi: T.Node
 
-    def values(self) -> BoxBounds:
-        return BoxBounds(self.lo.value, self.hi.value)
-
-
-def _affine_box(box: TapedBox, w: T.Node, b: T.Node) -> TapedBox:
-    center = T.scale(T.add(box.lo, box.hi), 0.5)
-    radius = T.scale(T.sub(box.hi, box.lo), 0.5)
-    wt = T.transpose(w)
-    c_out = T.add_bias(T.matmul(center, wt), b)
-    r_out = T.matmul(radius, T.transpose(T.abs_(w)))
-    return TapedBox(T.sub(c_out, r_out), T.add(c_out, r_out))
-
-
-def _conv_box(box: TapedBox, layer: Conv2d, w: T.Node, b: T.Node) -> TapedBox:
-    center = T.scale(T.add(box.lo, box.hi), 0.5)
-    radius = T.scale(T.sub(box.hi, box.lo), 0.5)
-    zero_bias = w.tape.constant(np.zeros_like(layer.bias))
-    c_out = T.conv2d(center, w, b, layer.stride, layer.padding)
-    r_out = T.conv2d(radius, T.abs_(w), zero_bias, layer.stride, layer.padding)
-    return TapedBox(T.sub(c_out, r_out), T.add(c_out, r_out))
-
-
-def apply_layer_to_box(layer, box: TapedBox, params_entry) -> TapedBox:
-    if isinstance(layer, Affine):
-        return _affine_box(box, params_entry["weight"], params_entry["bias"])
-    if isinstance(layer, Conv2d):
-        return _conv_box(box, layer, params_entry["weight"], params_entry["bias"])
-    if isinstance(layer, ReLU):
-        return TapedBox(T.relu(box.lo), T.relu(box.hi))
-    if isinstance(layer, Flatten):
-        b = box.lo.value.shape[0]
-        return TapedBox(T.reshape(box.lo, (b, -1)), T.reshape(box.hi, (b, -1)))
-    raise TypeError(f"unknown layer {layer!r}")
-
 
 def propagate_box_on_tape(net: Network, params, box: TapedBox, start=0, stop=None,
                           collect=None) -> TapedBox:
@@ -123,7 +84,7 @@ def propagate_box_on_tape(net: Network, params, box: TapedBox, start=0, stop=Non
     """
     stop = len(net.layers) if stop is None else stop
     for i in range(start, stop):
-        box = apply_layer_to_box(net.layers[i], box, params[i] if params[i] else None)
+        box = TapedBox(*net.layers[i].box_on_tape(box.lo, box.hi, params[i]))
         if collect is not None:
             collect.append((i, box))
     return box
@@ -159,11 +120,8 @@ def propagate_interval(layer, box: BoxBounds, batched=False) -> BoxBounds:
     """Sound one-layer propagation on concrete bounds (no gradients kept)."""
     tape = T.Tape()
     tb = input_box_nodes(tape, box, batched=batched)
-    entry = None
-    if isinstance(layer, (Affine, Conv2d)):
-        entry = {"weight": tape.leaf(layer.weight), "bias": tape.leaf(layer.bias)}
-    out = apply_layer_to_box(layer, tb, entry)
-    lo, hi = out.lo.value, out.hi.value
+    lo, hi = layer.box_on_tape(tb.lo, tb.hi, layer.lift(tape))
+    lo, hi = lo.value, hi.value
     if not batched:
         lo, hi = lo[0], hi[0]
     return BoxBounds(lo, hi)

@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .attack import AttackConfig, pgd_latent, sabr_select_region
 from .connector import ConnectorParams, connector_node
-from .interval import BoxBounds, TapedBox, box_from_ball, elided_bounds_on_tape, propagate_box_on_tape
-from .net import Network, forward_on_tape, lift_params
+from .interval import BoxBounds, box_from_ball, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
+from .net import Network, ReLU, forward_on_tape, lift_params, param_grads
 
 __all__ = [
     "LossKind",
@@ -108,16 +108,12 @@ def margin_loss(upper_diffs, y) -> float:
 # Batched graph builders
 # ---------------------------------------------------------------------------
 
-def _input_box_nodes(tape, X, eps, clip, box):
-    if box is None:
-        box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
-    return TapedBox(tape.constant(box.lo), tape.constant(box.hi))
-
-
 def ibp_loss_terms(tape, net, params, X, y, eps, clip=(0.0, 1.0), box=None,
                    collect=None) -> T.Node:
     """Per-sample CE over elided interval bounds of the (possibly small) box."""
-    tb = _input_box_nodes(tape, X, eps, clip, box)
+    if box is None:
+        box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+    tb = input_box_nodes(tape, box, batched=True)
     if collect is not None:
         # keep intermediate boxes for the stability regularizer
         out = propagate_box_on_tape(net, params, tb, stop=len(net.layers) - 1, collect=collect)
@@ -125,11 +121,6 @@ def ibp_loss_terms(tape, net, params, X, y, eps, clip=(0.0, 1.0), box=None,
     else:
         bounds = elided_bounds_on_tape(net, params, tb, y)
     return bound_ce_terms(bounds.hi, y)
-
-
-# counts latent-attack pipeline entries; the training loop checks that the
-# annealing phase never reaches it
-TAPS_PIPELINE_CALLS = 0
 
 
 def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
@@ -143,18 +134,18 @@ def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
     classifier the attacked branch *is* the bound branch (same node), which
     realizes the degeneration to plain interval training.
     """
-    global TAPS_PIPELINE_CALLS
     connector = connector or ConnectorParams()
     attack = attack or AttackConfig()
     y = np.asarray(y, dtype=np.intp)
     split = net.split_index
-    tb = _input_box_nodes(tape, X, eps, clip, box)
+    if box is None:
+        box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+    tb = input_box_nodes(tape, box, batched=True)
 
     if split >= len(net.layers):
         bound = bound_ce_terms(elided_bounds_on_tape(net, params, tb, y).hi, y)
         return bound, bound
 
-    TAPS_PIPELINE_CALLS += 1
     latent = propagate_box_on_tape(net, params, tb, stop=split)
     bounds = elided_bounds_on_tape(net, params, latent, y, start=split)
     bound_terms = bound_ce_terms(bounds.hi, y)
@@ -248,10 +239,6 @@ def staps_loss(net: Network, x, y, eps, tau, multi=True, connector=None,
 # Combined objective
 # ---------------------------------------------------------------------------
 
-class LossDiagnostics(dict):
-    """Scalar values recorded while building a training objective."""
-
-
 def combined_gradient(net: Network, X, y, eps, kind: LossKind, rng=None,
                       clip=(0.0, 1.0), latent_provider=None):
     """Batch gradient of the product objective with alpha-scaled branches.
@@ -299,12 +286,8 @@ def combined_gradient(net: Network, X, y, eps, kind: LossKind, rng=None,
     bound_branch = T.scale(
         T.mul(mean_bound, tape.constant(mean_attacked.value)), 2.0 - 2.0 * alpha
     )
-    root = T.add(attacked_branch, bound_branch)
-    param_ids = [entry[name].id for entry in params if entry
-                 for name in ("weight", "bias")]
-    grad_map = T.backward(tape, root, wanted=param_ids)
-    grads = [grad_map[nid] for nid in param_ids]
-    diag = LossDiagnostics(
+    grads = param_grads(tape, params, T.add(attacked_branch, bound_branch))
+    diag = dict(
         bound_loss=float(mean_bound.value),
         attacked_loss=float(mean_attacked.value),
         product=float(mean_bound.value) * float(mean_attacked.value),
@@ -331,10 +314,8 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
     """
     if lam == 0.0:
         return tape.constant(np.asarray(0.0))
-    from .net import Affine, Conv2d, ReLU  # local import to avoid cycle noise
-
     if collected is None:
-        tb = TapedBox(tape.constant(input_box.lo), tape.constant(input_box.hi))
+        tb = input_box_nodes(tape, input_box, batched=True)
         collected = []
         propagate_box_on_tape(net, params, tb, stop=len(net.layers) - 1, collect=collected)
     input_radius_sum = float(input_box.radius.sum())
@@ -344,7 +325,7 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
     prev_box = None
     for idx, box_nodes in collected:
         layer = net.layers[idx]
-        if isinstance(layer, (Affine, Conv2d)):
+        if layer.param_names:
             radius = T.scale(T.sub(box_nodes.hi, box_nodes.lo), 0.5)
             if input_radius_sum > 0:
                 ratio = T.scale(T.sum_all(radius), 1.0 / input_radius_sum)

@@ -1,4 +1,15 @@
-"""Layer and network definitions, initialization, and concrete evaluation.
+"""Layers (one class per kind), networks, architectures, initialization, and
+concrete evaluation.
+
+Each layer kind is one class, the only place that says how the kind
+behaves: its parameters (``param_names``, ``params``, ``lift`` onto a tape,
+``with_params``), ``out_shape``, the batched numpy ``forward`` and
+``input_vjp``, the taped ``forward_on_tape`` and ``box_on_tape`` (interval
+transfer), ``affine_operator`` on flattened features (None without
+parameters) and its checkpoint ``descriptor``; :data:`LAYER_KINDS` maps a
+descriptor's kind back to the class.  The numpy and taped paths keep separate
+kernels: ``x @ W.T`` and the tape's matmul against a transposed copy can
+differ in the last bits.
 
 A :class:`Network` is an ordered list of layers plus a ``split_index``
 separating the feature extractor ``layers[:split_index]`` from the classifier
@@ -19,6 +30,7 @@ __all__ = [
     "Conv2d",
     "ReLU",
     "Flatten",
+    "LAYER_KINDS",
     "Network",
     "build_architecture",
     "init_params",
@@ -27,57 +39,180 @@ __all__ = [
     "elide_final_layer",
     "fold_normalization",
     "lift_params",
+    "param_grads",
     "forward_on_tape",
 ]
 
 
+class Layer:
+    """Defaults shared by the layer kinds: no parameters, shape kept."""
+
+    kind = ""
+    param_names = ()
+
+    def params(self):
+        return [getattr(self, name) for name in self.param_names]
+
+    def lift(self, tape: T.Tape):
+        """One tape leaf per parameter array, by name; None without parameters."""
+        return {name: tape.leaf(arr, op="param")
+                for name, arr in zip(self.param_names, self.params())} or None
+
+    def with_params(self, arrays):
+        return replace(self, **dict(zip(self.param_names, arrays)))
+
+    def out_shape(self, in_shape):
+        return in_shape
+
+    def affine_operator(self, in_shape):
+        return None
+
+    def descriptor(self):
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_descriptor(cls, desc, arrays):
+        return cls(*arrays)
+
+
 @dataclass(frozen=True)
-class Affine:
+class Affine(Layer):
     weight: np.ndarray  # (out, in)
     bias: np.ndarray    # (out,)
+
+    kind = "affine"
+    param_names = ("weight", "bias")
 
     @property
     def out_features(self):
         return self.weight.shape[0]
 
+    def out_shape(self, in_shape):
+        if in_shape != (self.weight.shape[1],):
+            raise ValueError(f"affine expects input {self.weight.shape[1]}, got {in_shape}")
+        return (self.weight.shape[0],)
+
+    def forward(self, x):
+        return x @ self.weight.T + self.bias
+
+    def input_vjp(self, g, x):
+        return g @ self.weight
+
+    def forward_on_tape(self, x, p):
+        return T.add_bias(T.matmul(x, T.transpose(p["weight"])), p["bias"])
+
+    def box_on_tape(self, lo, hi, p):
+        center = T.scale(T.add(lo, hi), 0.5)
+        radius = T.scale(T.sub(hi, lo), 0.5)
+        c_out = T.add_bias(T.matmul(center, T.transpose(p["weight"])), p["bias"])
+        r_out = T.matmul(radius, T.transpose(T.abs_(p["weight"])))
+        return T.sub(c_out, r_out), T.add(c_out, r_out)
+
+    def affine_operator(self, in_shape):
+        return self.weight, self.bias
+
+    def descriptor(self):
+        return {"kind": self.kind, "out": self.weight.shape[0], "in": self.weight.shape[1]}
+
 
 @dataclass(frozen=True)
-class Conv2d:
+class Conv2d(Layer):
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
     bias: np.ndarray    # (out_ch,)
     stride: int = 1
     padding: int = 0
 
+    kind = "conv2d"
+    param_names = ("weight", "bias")
+
+    def out_shape(self, in_shape):
+        if len(in_shape) != 3 or in_shape[0] != self.weight.shape[1]:
+            raise ValueError(f"conv expects (C,H,W) with C={self.weight.shape[1]}, got {in_shape}")
+        oh, ow = T._conv_geometry((1,) + in_shape, self.weight.shape, self.stride, self.padding)
+        return (self.weight.shape[0], oh, ow)
+
+    def forward(self, x):
+        cols = T.im2col(x, self.weight.shape[2], self.weight.shape[3], self.stride, self.padding)
+        wmat = self.weight.reshape(self.weight.shape[0], -1)
+        oh, ow = T._conv_geometry(x.shape, self.weight.shape, self.stride, self.padding)
+        out = np.einsum("ok,bkl->bol", wmat, cols, optimize=True)
+        return out.reshape(x.shape[0], -1, oh, ow) + self.bias[None, :, None, None]
+
+    def input_vjp(self, g, x):
+        kh, kw = self.weight.shape[2], self.weight.shape[3]
+        wmat = self.weight.reshape(self.weight.shape[0], -1)
+        gm = g.reshape(g.shape[0], g.shape[1], -1)
+        dcols = np.einsum("ok,bol->bkl", wmat, gm, optimize=True)
+        return T.col2im(dcols, x.shape, kh, kw, self.stride, self.padding)
+
+    def forward_on_tape(self, x, p):
+        return T.conv2d(x, p["weight"], p["bias"], self.stride, self.padding)
+
+    def box_on_tape(self, lo, hi, p):
+        center = T.scale(T.add(lo, hi), 0.5)
+        radius = T.scale(T.sub(hi, lo), 0.5)
+        w = p["weight"]
+        zero_bias = w.tape.constant(np.zeros_like(self.bias))
+        c_out = T.conv2d(center, w, p["bias"], self.stride, self.padding)
+        r_out = T.conv2d(radius, T.abs_(w), zero_bias, self.stride, self.padding)
+        return T.sub(c_out, r_out), T.add(c_out, r_out)
+
+    def affine_operator(self, in_shape):
+        """The matrix is read off the zero-bias layer applied to basis vectors,
+        so every entry is a weight copied exactly rather than a rounded difference."""
+        d = int(np.prod(in_shape))
+        bare = replace(self, bias=np.zeros_like(self.bias))
+        m = bare.forward(np.eye(d).reshape((d,) + tuple(in_shape))).reshape(d, -1).T
+        return m, np.repeat(self.bias, m.shape[0] // self.bias.size)
+
+    def descriptor(self):
+        return {"kind": self.kind, "shape": list(self.weight.shape),
+                "stride": self.stride, "padding": self.padding}
+
+    @classmethod
+    def from_descriptor(cls, desc, arrays):
+        return cls(*arrays, desc["stride"], desc["padding"])
+
 
 @dataclass(frozen=True)
-class ReLU:
-    pass
+class ReLU(Layer):
+    kind = "relu"
+
+    def forward(self, x):
+        return np.maximum(x, 0.0)
+
+    def input_vjp(self, g, x):
+        return g * (x > 0.0)
+
+    def forward_on_tape(self, x, p):
+        return T.relu(x)
+
+    def box_on_tape(self, lo, hi, p):
+        return T.relu(lo), T.relu(hi)
 
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(Layer):
+    kind = "flatten"
 
-
-def _layer_params(layer):
-    if isinstance(layer, (Affine, Conv2d)):
-        return [("weight", layer.weight), ("bias", layer.bias)]
-    return []
-
-
-def _out_shape(layer, in_shape):
-    if isinstance(layer, Affine):
-        if in_shape != (layer.weight.shape[1],):
-            raise ValueError(f"affine expects input {layer.weight.shape[1]}, got {in_shape}")
-        return (layer.weight.shape[0],)
-    if isinstance(layer, Conv2d):
-        if len(in_shape) != 3 or in_shape[0] != layer.weight.shape[1]:
-            raise ValueError(f"conv expects (C,H,W) with C={layer.weight.shape[1]}, got {in_shape}")
-        oh, ow = T._conv_geometry((1,) + in_shape, layer.weight.shape, layer.stride, layer.padding)
-        return (layer.weight.shape[0], oh, ow)
-    if isinstance(layer, Flatten):
+    def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
-    return in_shape
+
+    def forward(self, x):
+        return x.reshape(x.shape[0], -1)
+
+    def input_vjp(self, g, x):
+        return g.reshape(x.shape)
+
+    def forward_on_tape(self, x, p):
+        return T.reshape(x, (x.value.shape[0], -1))
+
+    def box_on_tape(self, lo, hi, p):
+        b = lo.value.shape[0]
+        return T.reshape(lo, (b, -1)), T.reshape(hi, (b, -1))
+
+
+LAYER_KINDS = {cls.kind: cls for cls in (Affine, Conv2d, ReLU, Flatten)}
 
 
 class Network:
@@ -96,7 +231,7 @@ class Network:
         shape = tuple(input_shape)
         self._layer_shapes = [shape]
         for layer in layers:
-            shape = _out_shape(layer, shape)
+            shape = layer.out_shape(shape)
             self._layer_shapes.append(shape)
         self.layers = layers
         self.split_index = int(split_index)
@@ -122,7 +257,7 @@ class Network:
     def params(self):
         """Yield (layer_index, name, array) in declaration order."""
         for i, layer in enumerate(self.layers):
-            for name, arr in _layer_params(layer):
+            for name, arr in zip(layer.param_names, layer.params()):
                 yield i, name, arr
 
     def param_arrays(self):
@@ -130,26 +265,12 @@ class Network:
 
     def with_params(self, arrays) -> "Network":
         """Rebind parameter arrays (same declaration order) into a new network."""
-        arrays = list(arrays)
         it = iter(arrays)
-        new_layers = []
-        for layer in self.layers:
-            if isinstance(layer, Affine):
-                new_layers.append(replace(layer, weight=next(it), bias=next(it)))
-            elif isinstance(layer, Conv2d):
-                new_layers.append(replace(layer, weight=next(it), bias=next(it)))
-            else:
-                new_layers.append(layer)
-        try:
-            next(it)
-        except StopIteration:
-            pass
-        else:
+        new_layers = [layer.with_params([next(it) for _ in layer.param_names])
+                      for layer in self.layers]
+        if next(it, None) is not None:
             raise ValueError("too many parameter arrays")
         return Network(new_layers, self.split_index, self.num_classes, self.input_shape)
-
-    def with_split(self, split_index) -> "Network":
-        return Network(self.layers, split_index, self.num_classes, self.input_shape)
 
     def relu_count(self):
         return sum(isinstance(l, ReLU) for l in self.layers)
@@ -177,19 +298,19 @@ def _conv_stack(input_shape, spec, num_classes):
         if entry[0] == "conv":
             _, oc, k, stride, pad = entry
             layers.append(Conv2d(np.zeros((oc, shape[0], k, k)), np.zeros(oc), stride, pad))
-            shape = _out_shape(layers[-1], shape)
+            shape = layers[-1].out_shape(shape)
             layers.append(ReLU())
         else:
             _, width = entry
             if len(shape) > 1:
                 layers.append(Flatten())
-                shape = _out_shape(layers[-1], shape)
+                shape = layers[-1].out_shape(shape)
             layers.append(Affine(np.zeros((width, shape[0])), np.zeros(width)))
             shape = (width,)
             layers.append(ReLU())
     if len(shape) > 1:
         layers.append(Flatten())
-        shape = _out_shape(layers[-1], shape)
+        shape = layers[-1].out_shape(shape)
     layers.append(Affine(np.zeros((num_classes, shape[0])), np.zeros(num_classes)))
     return layers
 
@@ -211,9 +332,9 @@ def split_for_classifier_relus(layers, classifier_relu_count):
         return len(layers)
     first_relu = relu_positions[-classifier_relu_count]
     split = first_relu - 1
-    while split > 0 and not isinstance(layers[split], (Affine, Conv2d)):
+    while split > 0 and not layers[split].param_names:
         split -= 1
-    if not isinstance(layers[split], (Affine, Conv2d)):
+    if not layers[split].param_names:
         raise ValueError("no linear layer precedes the requested classifier ReLU")
     return split
 
@@ -270,12 +391,6 @@ def build_architecture(name, input_shape, num_classes, classifier_relu_count, hi
 _STABLE_MEAN_ABS = 1.8
 
 
-def _fan_in(layer):
-    if isinstance(layer, Affine):
-        return layer.weight.shape[1]
-    return int(np.prod(layer.weight.shape[1:]))
-
-
 def init_params(net: Network, seed, mode="ibp_stable") -> Network:
     """Draw fresh parameters: zero-mean normal weights, zero biases.
 
@@ -287,9 +402,9 @@ def init_params(net: Network, seed, mode="ibp_stable") -> Network:
     rng = np.random.default_rng(seed)
     arrays = []
     for layer in net.layers:
-        if not isinstance(layer, (Affine, Conv2d)):
+        if not layer.param_names:
             continue
-        fan_in = _fan_in(layer)
+        fan_in = int(np.prod(layer.weight.shape[1:]))
         if mode == "kaiming":
             sigma = np.sqrt(2.0 / fan_in)
         else:
@@ -304,27 +419,11 @@ def init_params(net: Network, seed, mode="ibp_stable") -> Network:
 # Concrete evaluation
 # ---------------------------------------------------------------------------
 
-def _apply_layer(layer, x):
-    if isinstance(layer, Affine):
-        return x @ layer.weight.T + layer.bias
-    if isinstance(layer, Conv2d):
-        cols = T.im2col(x, layer.weight.shape[2], layer.weight.shape[3], layer.stride, layer.padding)
-        wmat = layer.weight.reshape(layer.weight.shape[0], -1)
-        oh, ow = T._conv_geometry(x.shape, layer.weight.shape, layer.stride, layer.padding)
-        out = np.einsum("ok,bkl->bol", wmat, cols, optimize=True)
-        return out.reshape(x.shape[0], -1, oh, ow) + layer.bias[None, :, None, None]
-    if isinstance(layer, ReLU):
-        return np.maximum(x, 0.0)
-    if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1)
-    raise TypeError(f"unknown layer {layer!r}")
-
-
 def forward_batch(net: Network, x, start=0, stop=None) -> np.ndarray:
     """Evaluate layers[start:stop] on a batched input (no tape)."""
     x = np.asarray(x, dtype=np.float64)
     for layer in net.layers[start : stop if stop is not None else len(net.layers)]:
-        x = _apply_layer(layer, x)
+        x = layer.forward(x)
     return x
 
 
@@ -362,8 +461,6 @@ def fold_normalization(net: Network, mean, std) -> Network:
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     first = net.layers[0]
-    if isinstance(first, Conv2d) and first.padding and np.any(mean != 0.0):
-        raise ValueError("cannot fold a nonzero mean into a padded convolution")
     if isinstance(first, Affine):
         m = np.broadcast_to(mean, (net.input_shape[0],)).ravel()
         s = np.broadcast_to(std, (net.input_shape[0],)).ravel()
@@ -371,6 +468,8 @@ def fold_normalization(net: Network, mean, std) -> Network:
         bias = first.bias - weight @ m
         new_first = Affine(weight, bias)
     elif isinstance(first, Conv2d):
+        if first.padding and np.any(mean != 0.0):
+            raise ValueError("cannot fold a nonzero mean into a padded convolution")
         c = net.input_shape[0]
         m = np.broadcast_to(mean, (c,))
         s = np.broadcast_to(std, (c,))
@@ -394,23 +493,10 @@ def forward_backward_input(net: Network, x, seed_grad, start=0, stop=None):
     x = np.asarray(x, dtype=np.float64)
     acts = [x]
     for layer in net.layers[start:stop]:
-        acts.append(_apply_layer(layer, acts[-1]))
+        acts.append(layer.forward(acts[-1]))
     values, g = seed_grad(acts[-1])
     for i in range(stop - 1, start - 1, -1):
-        layer = net.layers[i]
-        a_in = acts[i - start]
-        if isinstance(layer, Affine):
-            g = g @ layer.weight
-        elif isinstance(layer, Conv2d):
-            kh, kw = layer.weight.shape[2], layer.weight.shape[3]
-            wmat = layer.weight.reshape(layer.weight.shape[0], -1)
-            gm = g.reshape(g.shape[0], g.shape[1], -1)
-            dcols = np.einsum("ok,bol->bkl", wmat, gm, optimize=True)
-            g = T.col2im(dcols, a_in.shape, kh, kw, layer.stride, layer.padding)
-        elif isinstance(layer, ReLU):
-            g = g * (a_in > 0.0)
-        elif isinstance(layer, Flatten):
-            g = g.reshape(a_in.shape)
+        g = net.layers[i].input_vjp(g, acts[i - start])
     return values, g
 
 
@@ -419,17 +505,17 @@ def forward_backward_input(net: Network, x, seed_grad, start=0, stop=None):
 # ---------------------------------------------------------------------------
 
 def lift_params(tape: T.Tape, net: Network):
-    """Create one leaf node per parameter array; returns per-layer node dicts."""
-    nodes = []
-    for layer in net.layers:
-        if isinstance(layer, (Affine, Conv2d)):
-            nodes.append({
-                "weight": tape.leaf(layer.weight, op="param"),
-                "bias": tape.leaf(layer.bias, op="param"),
-            })
-        else:
-            nodes.append(None)
-    return nodes
+    """Create one leaf node per parameter array; returns per-layer node dicts
+    (None for a layer without parameters)."""
+    return [layer.lift(tape) for layer in net.layers]
+
+
+def param_grads(tape: T.Tape, params, root: T.Node):
+    """Gradients of ``root`` with respect to the nodes of :func:`lift_params`,
+    aligned with ``net.param_arrays()``."""
+    ids = [node.id for entry in params if entry for node in entry.values()]
+    grad_map = T.backward(tape, root, wanted=ids)
+    return [grad_map[nid] for nid in ids]
 
 
 def forward_on_tape(net: Network, params, x: T.Node, start=0, stop=None) -> T.Node:
@@ -441,15 +527,5 @@ def forward_on_tape(net: Network, params, x: T.Node, start=0, stop=None) -> T.No
     stop = len(net.layers) if stop is None else stop
     out = x
     for i in range(start, stop):
-        layer = net.layers[i]
-        if isinstance(layer, Affine):
-            out = T.add_bias(T.matmul(out, T.transpose(params[i]["weight"])), params[i]["bias"])
-        elif isinstance(layer, Conv2d):
-            out = T.conv2d(out, params[i]["weight"], params[i]["bias"], layer.stride, layer.padding)
-        elif isinstance(layer, ReLU):
-            out = T.relu(out)
-        elif isinstance(layer, Flatten):
-            out = T.reshape(out, (out.value.shape[0], -1))
-        else:
-            raise TypeError(f"unknown layer {layer!r}")
+        out = net.layers[i].forward_on_tape(out, params[i])
     return out

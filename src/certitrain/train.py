@@ -21,7 +21,8 @@ from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
 from .interval import BoxBounds, box_from_ball, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
 from .loss import LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms, l1_penalty
-from .net import Network, build_architecture, forward_batch, forward_on_tape, init_params, lift_params
+from .net import (Network, build_architecture, forward_batch, forward_on_tape, init_params, lift_params,
+                  param_grads)
 
 __all__ = [
     "Schedule",
@@ -206,10 +207,7 @@ def _bound_loss_grads(net, X, y, eps, *, region=None, reg_lambda=0.0, eps_frac=0
     if reg_lambda > 0.0 and eps_frac > 0.0:
         reg = fast_regularizer_node(tape, net, params, box, reg_lambda, collected=collected)
         root = T.add(root, T.scale(reg, eps_frac))
-    param_ids = [e[n].id for e in params if e for n in ("weight", "bias")]
-    grad_map = T.backward(tape, root, wanted=param_ids)
-    grads = [grad_map[nid] for nid in param_ids]
-    return grads, bound_value, float(root.value)
+    return param_grads(tape, params, root), bound_value, float(root.value)
 
 
 def _natural_grads(net, X, y):
@@ -217,10 +215,7 @@ def _natural_grads(net, X, y):
     params = lift_params(tape, net)
     logits = forward_on_tape(net, params, tape.constant(np.asarray(X, dtype=np.float64)))
     root = T.mean_all(ce_terms(logits, y))
-    param_ids = [e[n].id for e in params if e for n in ("weight", "bias")]
-    grad_map = T.backward(tape, root, wanted=param_ids)
-    grads = [grad_map[nid] for nid in param_ids]
-    return grads, float(root.value)
+    return param_grads(tape, params, root), float(root.value)
 
 
 def global_grad_norm(grads):

@@ -21,10 +21,10 @@ from scipy.optimize import linprog
 
 from . import tensor as T
 from .attack import AttackConfig, pgd_input, pgd_latent, sabr_select_region
-from .interval import BoxBounds, box_from_ball, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
+from .interval import (BoxBounds, box_from_ball, elided_bounds_on_tape, ibp_bounds, input_box_nodes,
+                       propagate_box_on_tape)
 from .loss import paired_loss_terms
-from .net import (Affine, Conv2d, Flatten, Network, ReLU, _out_shape, elide_final_layer,
-                  forward_batch, lift_params)
+from .net import Network, ReLU, elide_final_layer, forward_batch, lift_params, param_grads
 
 __all__ = [
     "certify_ibp",
@@ -47,15 +47,9 @@ __all__ = [
 # Plain interval certification
 # ---------------------------------------------------------------------------
 
-def upper_logit_diffs(net: Network, x, y, eps, clip=(0.0, 1.0)) -> np.ndarray:
-    from .interval import ibp_bounds
-
-    return ibp_bounds(net, x, y, eps, upto="elided_logits", clip=clip).hi
-
-
 def certify_ibp(net: Network, x, y, eps, clip=(0.0, 1.0)):
     """(certified, upper logit-difference vector) for one sample."""
-    hi = upper_logit_diffs(net, x, y, eps, clip)
+    hi = ibp_bounds(net, x, y, eps, clip=clip).hi
     others = np.delete(hi, y)
     return bool(others.max() < 0.0), hi
 
@@ -75,29 +69,6 @@ class OracleResult:
     @property
     def exact(self):
         return self.status == "exact"
-
-
-def _affine_operator(layer, in_shape):
-    """(matrix, offset) of a layer's affine action on flattened features.
-
-    The conv matrix is read off the zero-bias layer applied to basis vectors,
-    so every entry is a weight copied exactly rather than a rounded difference.
-    """
-    if isinstance(layer, Affine):
-        return layer.weight, layer.bias
-    if isinstance(layer, Conv2d):
-        d = int(np.prod(in_shape))
-        bare = Conv2d(layer.weight, np.zeros_like(layer.bias), layer.stride, layer.padding)
-        m = forward_batch_single_layer(bare, np.eye(d).reshape((d,) + tuple(in_shape)))
-        m = m.reshape(d, -1).T
-        return m, np.repeat(layer.bias, m.shape[0] // layer.bias.size)
-    raise TypeError(f"no affine operator for {layer!r}")
-
-
-def forward_batch_single_layer(layer, x):
-    from .net import _apply_layer
-
-    return _apply_layer(layer, x)
 
 
 def _interval_of_rows(m, v, center, radius):
@@ -146,16 +117,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
                             f"{unstable_count} unstable ReLUs exceed budget {budget_unstable}")
 
     # affine operators per layer, on flattened features
-    ops = []
-    shape = elided.input_shape
-    for layer in elided.layers:
-        if isinstance(layer, (Affine, Conv2d)):
-            ops.append(_affine_operator(layer, shape))
-        else:
-            ops.append(None)
-        from .net import _out_shape
-
-        shape = _out_shape(layer, shape)
+    ops = [layer.affine_operator(elided.shape_after(i)) for i, layer in enumerate(elided.layers)]
 
     best = -np.inf
     patterns = 0
@@ -190,13 +152,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
                 return
             solve_leaf(m, v, constraints)
             return
-        layer = elided.layers[layer_idx]
-        if isinstance(layer, (Affine, Conv2d)):
-            w, b = ops[layer_idx]
-            walk(layer_idx + 1, w @ m, w @ v + b, constraints)
-        elif isinstance(layer, Flatten):
-            walk(layer_idx + 1, m, v, constraints)
-        elif isinstance(layer, ReLU):
+        if isinstance(elided.layers[layer_idx], ReLU):
             g_active, g_dead, g_unstable = global_state[layer_idx]
             lo_pre, hi_pre = _interval_of_rows(m, v, center, radius)
             # the global verdict is authoritative for stable units; globally
@@ -222,8 +178,11 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
 
             base_mask = (~fixed_dead).astype(np.float64)
             expand(0, base_mask, constraints)
+        elif ops[layer_idx] is None:  # no parameters: flattened features pass through
+            walk(layer_idx + 1, m, v, constraints)
         else:
-            raise TypeError(f"unexpected layer {layer!r}")
+            w, b = ops[layer_idx]
+            walk(layer_idx + 1, w @ m, w @ v + b, constraints)
 
     walk(0, np.eye(d), np.zeros(d), [])
     if budget_hit:
@@ -301,18 +260,19 @@ class _ReluLayer:
 
 def _piecewise_affine(net: Network):
     """([_ReluLayer per ReLU], (w, b) of the output layer) on flattened features."""
-    relus, op, shape = [], None, net.input_shape
-    for layer in net.layers:
-        if isinstance(layer, (Affine, Conv2d)):
-            if op is not None:
-                raise ValueError("relaxed certifier needs a ReLU between affine layers")
-            op = _affine_operator(layer, shape)
-        elif isinstance(layer, ReLU):
+    relus, op = [], None
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, ReLU):
             if op is None:
                 raise ValueError("relaxed certifier needs an affine layer before each ReLU")
             relus.append(_ReluLayer(*op))
             op = None
-        shape = _out_shape(layer, shape)
+            continue
+        step = layer.affine_operator(net.shape_after(i))
+        if step is not None:
+            if op is not None:
+                raise ValueError("relaxed certifier needs a ReLU between affine layers")
+            op = step
     return relus, op
 
 
@@ -657,7 +617,7 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
     """
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp":
-        hi = upper_logit_diffs(net, x, y, eps, clip)
+        hi = ibp_bounds(net, x, y, eps, clip=clip).hi
         return margin_of_diffs(hi, y), hi
     if method == "pgd":
         cfg = attack or AttackConfig(steps=50, restarts=3, seed=0)
@@ -677,7 +637,7 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
     if method == "taps":
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
         if net.split_index >= len(net.layers):
-            hi = upper_logit_diffs(net, x, y, eps, clip)
+            hi = ibp_bounds(net, x, y, eps, clip=clip).hi
             return margin_of_diffs(hi, y), hi
         tape = T.Tape()
         params = lift_params(tape, net)
@@ -763,11 +723,8 @@ def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None
         bound, attacked = paired_loss_terms(
             tape, net, params, X[i : i + 1], y[i : i + 1], eps,
             multi=multi, connector=connector, attack=attack, rng=rng, clip=clip)
-        param_ids = [e[n].id for e in params if e for n in ("weight", "bias")]
-        gf = T.backward(tape, T.mean_all(attacked), wanted=param_ids)
-        gg = T.backward(tape, T.mean_all(bound), wanted=param_ids)
-        flat_f = np.concatenate([gf[nid].ravel() for nid in param_ids])
-        flat_g = np.concatenate([gg[nid].ravel() for nid in param_ids])
+        flat_f = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(attacked))])
+        flat_g = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(bound))])
         f_vals.append(float(attacked.value[0]))
         g_vals.append(float(bound.value[0]))
         f_grads.append(flat_f)

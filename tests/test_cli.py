@@ -2,9 +2,11 @@
 
 import json
 import os
+import struct
 
 import pytest
 
+from certitrain.checkpoint import MAGIC, save_checkpoint
 from certitrain.cli import (
     Config,
     ConfigError,
@@ -16,6 +18,7 @@ from certitrain.cli import (
     config_from_dict,
     main,
 )
+from certitrain.net import build_architecture, init_params
 
 
 def fast_overrides(tmp_path, **kw):
@@ -64,6 +67,56 @@ def test_exit_code_on_io_error(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(path, init_params(build_architecture("mlp", (2,), 2, 1, hidden=(4, 4)), 0))
+    return path.read_bytes()
+
+
+def _header(raw):
+    (n,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12 : 12 + n]), raw[12 + n :]
+
+
+def _unknown_kind(raw):
+    header, blobs = _header(raw)
+    header["layers"][1]["kind"] = "maxpool"
+    text = json.dumps(header).encode()
+    return MAGIC + struct.pack("<II", 1, len(text)) + text + blobs
+
+
+# name -> (corrupt a good checkpoint's bytes, expected message)
+CORRUPTIONS = {
+    "bad-magic": (lambda raw: b"NOPE" + b"\x00" * 32, "bad magic"),
+    "short-header": (lambda raw: b"CTRNxx", "short header"),
+    "header-not-json": (lambda raw: MAGIC + struct.pack("<II", 1, 5) + b"{nope", "not UTF-8 JSON"),
+    "unknown-layer-kind": (_unknown_kind, "unknown layer kind 'maxpool'"),
+    "truncated-blob": (lambda raw: raw[:-8], "truncated parameter blob"),
+    "trailing-bytes": (lambda raw: raw + b"\x00", "trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_exits_4(tmp_path, capsys, corruption):
+    corrupt, message = CORRUPTIONS[corruption]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(corrupt(_checkpoint_bytes(tmp_path)))
+    rc = main(["certify", "--checkpoint", str(path), "--dataset", "moons",
+               "--test-subset", "5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(f"i/o error: {path}: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unknown_certify_method_rejected(tmp_path, capsys):
+    rc = main(["certify", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--methods", "ibp,orcale", "--dataset", "moons", "--test-subset", "5",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "orcale" in capsys.readouterr().err
 
 
 def test_mnist_dataset_requires_data_dir(monkeypatch):

@@ -1,5 +1,7 @@
 """Connector algebra: exact partials, degenerate rule, diagonal flow."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,14 @@ def test_linear_connector_sums_to_one():
         z = rng.uniform(lo, hi)
         d_lo, d_hi = partials_scalar(lo, hi, z, 1.0)
         assert abs(d_lo + d_hi - 1.0) < 1e-12
+
+
+def test_subnormal_c_overflows_silently():
+    # rel / c overflows to inf; 1 - inf clamps to the same partial 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert partials_scalar(0.0, 1.0, 0.5, 1e-310) == (0.0, 0.0)
+        assert partials_scalar(0.0, 1.0, 0.0, 1e-310) == (1.0, 0.0)
 
 
 def test_degenerate_box_is_half_half():
