@@ -10,6 +10,7 @@ without consulting the architecture registry.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -27,7 +28,8 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, net: Network, meta=None):
-    """Write the network (and optional metadata: arch name, seed, epoch)."""
+    """Write the network (and optional metadata: arch name, seed, epoch) to a
+    temporary file that replaces ``path`` only once it is complete."""
     meta = dict(meta or {})
     header = {
         "meta": meta,
@@ -38,12 +40,18 @@ def save_checkpoint(path, net: Network, meta=None):
         "tensor_shapes": [list(a.shape) for a in net.param_arrays()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for arr in net.param_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
+            for arr in net.param_arrays():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

@@ -33,7 +33,8 @@ from .data import (
     take_subset,
 )
 from .loss import LossKind
-from .train import NumericError, Schedule, TrainConfig, natural_accuracy, taps_accuracy, train_run
+from .train import (NumericError, Schedule, TrainConfig, _certified_mask, natural_accuracy,
+                    taps_accuracy, train_run)
 from .verify import (
     SampleVerdict,
     adversarial_accuracy,
@@ -324,19 +325,27 @@ def _certify_chunk(args):
 
 
 CERTIFY_METHODS = ("ibp", "pgd", "oracle")
+TIGHTNESS_METHODS = ("ibp", "pgd", "sabr", "taps")
 
 
-def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict:
-    """Certify the test set; ibp and pgd always run, ``oracle`` adds the exact oracle."""
-    unknown = sorted(set(methods) - set(CERTIFY_METHODS))
+def _checked_inputs(config: Config, checkpoint_path, methods, known):
+    """(network, test set); rejects unknown ``methods`` before loading
+    anything, then a checkpoint whose input shape differs from the dataset's."""
+    unknown = sorted(set(methods) - set(known))
     if unknown:
-        raise ConfigError(f"methods: unknown {', '.join(unknown)} (choose from {CERTIFY_METHODS})")
-    net, meta = load_checkpoint(checkpoint_path)
+        raise ConfigError(f"methods: unknown {', '.join(unknown)} (choose from {known})")
+    net, _ = load_checkpoint(checkpoint_path)
     ds = prepared_test_set(config)
     if ds.sample_shape != net.input_shape:
         raise ConfigError(
             f"checkpoint expects input {net.input_shape}, dataset provides {ds.sample_shape}"
         )
+    return net, ds
+
+
+def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict:
+    """Certify the test set; ibp and pgd always run, ``oracle`` adds the exact oracle."""
+    net, ds = _checked_inputs(config, checkpoint_path, methods, CERTIFY_METHODS)
     use_oracle = "oracle" in methods
     attack_cfg = config.eval_attack()
     ids = np.arange(len(ds))
@@ -386,10 +395,8 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
 # tightness
 # ---------------------------------------------------------------------------
 
-def cmd_tightness(config: Config, checkpoint_path, methods=("ibp", "pgd", "sabr", "taps"),
-                  bins=40) -> dict:
-    net, _ = load_checkpoint(checkpoint_path)
-    ds = prepared_test_set(config)
+def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bins=40) -> dict:
+    net, ds = _checked_inputs(config, checkpoint_path, methods, TIGHTNESS_METHODS)
     eps = config.epsilon
     errors = {m: [] for m in methods}
     skipped = 0
@@ -479,10 +486,8 @@ def cmd_ablate(config: Config, sweep, values) -> str:
             adv = adversarial_accuracy(net, test_ds.images, test_ds.labels, cfg.epsilon,
                                        cfg.eval_attack(),
                                        rng=np.random.default_rng(cfg.seed + 5))
-            cert = float(np.mean([
-                certify_ibp(net, test_ds.images[i], int(test_ds.labels[i]), cfg.epsilon)[0]
-                for i in range(len(test_ds))
-            ]))
+            cert = float(np.mean(_certified_mask(net, test_ds.images, test_ds.labels,
+                                                 cfg.epsilon)))
             fh.write(f"{sweep},{value},{cfg.seed},{nat!r},{t_acc!r},{adv!r},{cert!r}\n")
             fh.flush()
             print(f"{sweep}={value}: nat={nat:.4f} taps={t_acc:.4f} adv={adv:.4f} cert={cert:.4f}")
@@ -565,7 +570,8 @@ def main(argv=None) -> int:
     p_tight = sub.add_parser("tightness", help="margin-error histograms vs exact oracle")
     _add_config_flags(p_tight)
     p_tight.add_argument("--checkpoint", required=True)
-    p_tight.add_argument("--methods", default="ibp,pgd,sabr,taps")
+    p_tight.add_argument("--methods", default="ibp,pgd,sabr,taps",
+                         help="comma list from {ibp,pgd,sabr,taps}")
     p_tight.add_argument("--bins", type=int, default=40)
 
     p_abl = sub.add_parser("ablate", help="train/evaluate across a hyperparameter sweep")

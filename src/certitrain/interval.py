@@ -1,12 +1,15 @@
-"""Differentiable interval (Box) propagation through networks or prefixes.
+"""Interval (Box) propagation through networks or prefixes.
 
-Boxes are lower/upper tensor pairs.  Each layer's transfer is its own
+Boxes are lower/upper pairs batched on axis 0: numpy arrays in
+:class:`BoxBounds` (concrete pass) or tape nodes in :class:`TapedBox`
+(differentiable pass).  Each layer's transfer is its own ``box`` or
 ``box_on_tape`` (see :mod:`certitrain.net`): affine and conv layers propagate
 the equivalent center/radius form (two linear maps: W on the center, |W| on
 the radius), which is exact per coordinate, and ReLU maps bounds
 elementwise.  This module chains those transfers over a network.  The final
 affine layer can be elided per sample label so the propagated quantities are
-upper/lower bounds on logit differences.
+upper/lower bounds on logit differences.  Both passes do the same
+arithmetic, so their bounds agree bit for bit.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .net import Network, lift_params
+from .net import Network
 
 __all__ = [
     "BoxBounds",
     "box_from_ball",
-    "propagate_interval",
+    "propagate_box",
+    "elided_bounds",
     "ibp_bounds",
     "TapedBox",
     "propagate_box_on_tape",
@@ -67,6 +71,29 @@ def box_from_ball(x, eps, clip=(0.0, 1.0)) -> BoxBounds:
     return BoxBounds(lo, hi)
 
 
+def propagate_box(net: Network, box: BoxBounds, stop=None, collect=None) -> BoxBounds:
+    """Concrete :func:`propagate_box_on_tape` through layers[:stop];
+    ``collect`` receives (layer_index, BoxBounds)."""
+    for i, layer in enumerate(net.layers[:stop]):
+        box = BoxBounds(*layer.box(box.lo, box.hi))
+        if collect is not None:
+            collect.append((i, box))
+    return box
+
+
+def elided_bounds(net: Network, box: BoxBounds, labels) -> BoxBounds:
+    """Concrete :func:`elided_bounds_on_tape`: bounds on logit differences
+    with the final affine layer elided per sample label."""
+    last = net.layers[-1]
+    box = propagate_box(net, box, stop=-1)
+    raw = box.center @ last.weight.T.copy() + last.bias
+    labels = T._check_labels("elided_bounds", raw, labels)
+    c_out = raw - raw[np.arange(len(labels)), labels][:, None]
+    absdiff = np.abs(last.weight[None, :, :] - last.weight[labels][:, None, :])
+    r_out = np.einsum("bn,bkn->bk", box.radius, absdiff, optimize=True)
+    return BoxBounds(c_out - r_out, c_out + r_out)
+
+
 @dataclass
 class TapedBox:
     """Box whose bounds are differentiable tape nodes (batched, axis 0)."""
@@ -109,38 +136,12 @@ def elided_bounds_on_tape(net: Network, params, box: TapedBox, labels,
     return TapedBox(T.sub(c_out, r_out), T.add(c_out, r_out))
 
 
-def input_box_nodes(tape: T.Tape, box: BoxBounds, batched=False) -> TapedBox:
-    lo, hi = box.lo, box.hi
-    if not batched:
-        lo, hi = lo[None], hi[None]
-    return TapedBox(tape.constant(lo), tape.constant(hi))
+def input_box_nodes(tape: T.Tape, box: BoxBounds) -> TapedBox:
+    return TapedBox(tape.constant(box.lo), tape.constant(box.hi))
 
 
-def propagate_interval(layer, box: BoxBounds, batched=False) -> BoxBounds:
-    """Sound one-layer propagation on concrete bounds (no gradients kept)."""
-    tape = T.Tape()
-    tb = input_box_nodes(tape, box, batched=batched)
-    lo, hi = layer.box_on_tape(tb.lo, tb.hi, layer.lift(tape))
-    lo, hi = lo.value, hi.value
-    if not batched:
-        lo, hi = lo[0], hi[0]
-    return BoxBounds(lo, hi)
-
-
-def ibp_bounds(net: Network, x, y, eps, upto="elided_logits", clip=(0.0, 1.0)) -> BoxBounds:
-    """Concrete IBP bounds for one sample.
-
-    ``upto='extractor_output'`` stops at the split; ``'elided_logits'``
-    propagates through the whole network with the final layer elided by ``y``.
-    """
-    box = box_from_ball(np.asarray(x, dtype=np.float64), eps, clip)
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    tb = input_box_nodes(tape, box)
-    if upto == "extractor_output":
-        out = propagate_box_on_tape(net, params, tb, stop=net.split_index)
-    elif upto == "elided_logits":
-        out = elided_bounds_on_tape(net, params, tb, np.asarray([y]))
-    else:
-        raise ValueError(f"unknown upto mode {upto!r}")
-    return BoxBounds(out.lo.value[0], out.hi.value[0])
+def ibp_bounds(net: Network, x, y, eps, clip=(0.0, 1.0)) -> BoxBounds:
+    """Concrete IBP bounds on one sample's logit differences (label ``y``)."""
+    box = box_from_ball(np.asarray(x, dtype=np.float64)[None], eps, clip)
+    out = elided_bounds(net, box, [y])
+    return BoxBounds(out.lo[0], out.hi[0])

@@ -113,13 +113,9 @@ def ibp_loss_terms(tape, net, params, X, y, eps, clip=(0.0, 1.0), box=None,
     """Per-sample CE over elided interval bounds of the (possibly small) box."""
     if box is None:
         box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
-    tb = input_box_nodes(tape, box, batched=True)
-    if collect is not None:
-        # keep intermediate boxes for the stability regularizer
-        out = propagate_box_on_tape(net, params, tb, stop=len(net.layers) - 1, collect=collect)
-        bounds = elided_bounds_on_tape(net, params, out, y, start=len(net.layers) - 1)
-    else:
-        bounds = elided_bounds_on_tape(net, params, tb, y)
+    last = len(net.layers) - 1
+    out = propagate_box_on_tape(net, params, input_box_nodes(tape, box), stop=last, collect=collect)
+    bounds = elided_bounds_on_tape(net, params, out, y, start=last)
     return bound_ce_terms(bounds.hi, y)
 
 
@@ -140,7 +136,7 @@ def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
     split = net.split_index
     if box is None:
         box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
-    tb = input_box_nodes(tape, box, batched=True)
+    tb = input_box_nodes(tape, box)
 
     if split >= len(net.layers):
         bound = bound_ce_terms(elided_bounds_on_tape(net, params, tb, y).hi, y)
@@ -315,7 +311,7 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
     if lam == 0.0:
         return tape.constant(np.asarray(0.0))
     if collected is None:
-        tb = input_box_nodes(tape, input_box, batched=True)
+        tb = input_box_nodes(tape, input_box)
         collected = []
         propagate_box_on_tape(net, params, tb, stop=len(net.layers) - 1, collect=collected)
     input_radius_sum = float(input_box.radius.sum())

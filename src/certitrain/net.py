@@ -4,12 +4,12 @@ concrete evaluation.
 Each layer kind is one class, the only place that says how the kind
 behaves: its parameters (``param_names``, ``params``, ``lift`` onto a tape,
 ``with_params``), ``out_shape``, the batched numpy ``forward`` and
-``input_vjp``, the taped ``forward_on_tape`` and ``box_on_tape`` (interval
-transfer), ``affine_operator`` on flattened features (None without
-parameters) and its checkpoint ``descriptor``; :data:`LAYER_KINDS` maps a
-descriptor's kind back to the class.  The numpy and taped paths keep separate
-kernels: ``x @ W.T`` and the tape's matmul against a transposed copy can
-differ in the last bits.
+``input_vjp``, the taped ``forward_on_tape``, the interval transfers ``box``
+(numpy) and ``box_on_tape``, ``affine_operator`` on flattened features (None
+without parameters) and its checkpoint ``descriptor``; :data:`LAYER_KINDS`
+maps a descriptor's kind back to the class.  The numpy and taped forwards
+keep separate kernels (``x @ W.T`` and the tape's matmul against a transposed
+copy can differ in the last bits); both box transfers use the taped kernel.
 
 A :class:`Network` is an ordered list of layers plus a ``split_index``
 separating the feature extractor ``layers[:split_index]`` from the classifier
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class Layer:
-    """Defaults shared by the layer kinds: no parameters, shape kept."""
+    """Defaults shared by the layer kinds: no parameters, shape kept, monotone."""
 
     kind = ""
     param_names = ()
@@ -63,6 +63,12 @@ class Layer:
 
     def out_shape(self, in_shape):
         return in_shape
+
+    def box(self, lo, hi):
+        return self.forward(lo), self.forward(hi)
+
+    def box_on_tape(self, lo, hi, p):
+        return self.forward_on_tape(lo, p), self.forward_on_tape(hi, p)
 
     def affine_operator(self, in_shape):
         return None
@@ -100,6 +106,15 @@ class Affine(Layer):
 
     def forward_on_tape(self, x, p):
         return T.add_bias(T.matmul(x, T.transpose(p["weight"])), p["bias"])
+
+    def box(self, lo, hi):
+        # transposed copies, as T.transpose makes: a product against the
+        # ``.T`` view can differ from the taped bound in the last bits
+        center = (lo + hi) * 0.5
+        radius = (hi - lo) * 0.5
+        c_out = center @ self.weight.T.copy() + self.bias
+        r_out = radius @ np.abs(self.weight).T.copy()
+        return c_out - r_out, c_out + r_out
 
     def box_on_tape(self, lo, hi, p):
         center = T.scale(T.add(lo, hi), 0.5)
@@ -148,6 +163,14 @@ class Conv2d(Layer):
     def forward_on_tape(self, x, p):
         return T.conv2d(x, p["weight"], p["bias"], self.stride, self.padding)
 
+    def box(self, lo, hi):
+        center = (lo + hi) * 0.5
+        radius = (hi - lo) * 0.5
+        c_out = self.forward(center)
+        r_out = replace(self, weight=np.abs(self.weight),
+                        bias=np.zeros_like(self.bias)).forward(radius)
+        return c_out - r_out, c_out + r_out
+
     def box_on_tape(self, lo, hi, p):
         center = T.scale(T.add(lo, hi), 0.5)
         radius = T.scale(T.sub(hi, lo), 0.5)
@@ -187,9 +210,6 @@ class ReLU(Layer):
     def forward_on_tape(self, x, p):
         return T.relu(x)
 
-    def box_on_tape(self, lo, hi, p):
-        return T.relu(lo), T.relu(hi)
-
 
 @dataclass(frozen=True)
 class Flatten(Layer):
@@ -206,10 +226,6 @@ class Flatten(Layer):
 
     def forward_on_tape(self, x, p):
         return T.reshape(x, (x.value.shape[0], -1))
-
-    def box_on_tape(self, lo, hi, p):
-        b = lo.value.shape[0]
-        return T.reshape(lo, (b, -1)), T.reshape(hi, (b, -1))
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Affine, Conv2d, ReLU, Flatten)}

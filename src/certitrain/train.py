@@ -19,7 +19,7 @@ from . import tensor as T
 from .attack import AttackConfig, pgd_input, pgd_latent, sabr_select_region
 from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
-from .interval import BoxBounds, box_from_ball, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
+from .interval import box_from_ball, elided_bounds, propagate_box
 from .loss import LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms, l1_penalty
 from .net import (Network, build_architecture, forward_batch, forward_on_tape, init_params, lift_params,
                   param_grads)
@@ -307,12 +307,8 @@ def natural_accuracy(net: Network, X, y) -> float:
 
 def _certified_mask(net: Network, X, y, eps, clip=(0.0, 1.0)):
     """Per-sample interval certification (all non-label diffs bounded < 0)."""
-    tape = T.Tape()
-    params = lift_params(tape, net)
     box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
-    tb = input_box_nodes(tape, box, batched=True)
-    bounds = elided_bounds_on_tape(net, params, tb, y)
-    hi = bounds.hi.value.copy()
+    hi = elided_bounds(net, box, y).hi
     hi[np.arange(len(y)), y] = -np.inf
     return hi.max(axis=1) < 0.0
 
@@ -334,12 +330,7 @@ def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None,
     for start in range(0, X.shape[0], chunk):
         xs = X[start : start + chunk]
         ys = y[start : start + chunk]
-        tape = T.Tape()
-        params = lift_params(tape, net)
-        box = box_from_ball(xs, eps, clip)
-        latent = propagate_box_on_tape(net, params, input_box_nodes(tape, box, batched=True),
-                                       stop=net.split_index)
-        latent_box = BoxBounds(latent.lo.value, latent.hi.value)
+        latent_box = propagate_box(net, box_from_ball(xs, eps, clip), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, ys, attack, multi=True, rng=rng)
         b, t = targets.shape
         flat = points.reshape((b * t,) + points.shape[2:])

@@ -21,8 +21,7 @@ from scipy.optimize import linprog
 
 from . import tensor as T
 from .attack import AttackConfig, pgd_input, pgd_latent, sabr_select_region
-from .interval import (BoxBounds, box_from_ball, elided_bounds_on_tape, ibp_bounds, input_box_nodes,
-                       propagate_box_on_tape)
+from .interval import BoxBounds, box_from_ball, elided_bounds, ibp_bounds, propagate_box
 from .loss import paired_loss_terms
 from .net import Network, ReLU, elide_final_layer, forward_batch, lift_params, param_grads
 
@@ -50,8 +49,7 @@ __all__ = [
 def certify_ibp(net: Network, x, y, eps, clip=(0.0, 1.0)):
     """(certified, upper logit-difference vector) for one sample."""
     hi = ibp_bounds(net, x, y, eps, clip=clip).hi
-    others = np.delete(hi, y)
-    return bool(others.max() < 0.0), hi
+    return margin_of_diffs(hi, y) < 0.0, hi
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +94,14 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
 
     # sound prescreen: the layerwise interval pass classifies every ReLU unit
     # against the true (nonlinear) prefix; only straddling units may branch
-    tape = T.Tape()
-    params = lift_params(tape, elided)
     collected = []
-    propagate_box_on_tape(elided, params, input_box_nodes(tape, box), collect=collected)
-    unstable_count = 0
+    propagate_box(elided, BoxBounds(box.lo[None], box.hi[None]), collect=collected)
     global_state = {}  # relu layer index -> (active_mask, dead_mask, unstable_mask)
-    prev = None
-    for idx, b in collected:
-        if isinstance(elided.layers[idx], ReLU) and prev is not None:
-            lo_pre, hi_pre = prev[0][0].reshape(-1), prev[1][0].reshape(-1)
-            active = lo_pre >= 0.0
-            dead = hi_pre <= 0.0
-            unstable = ~(active | dead)
-            global_state[idx] = (active, dead, unstable)
-            unstable_count += int(unstable.sum())
-        prev = (b.lo.value, b.hi.value)
+    for (_, pre), (idx, _) in zip(collected, collected[1:]):
+        if isinstance(elided.layers[idx], ReLU):
+            active, dead = pre.lo.ravel() >= 0.0, pre.hi.ravel() <= 0.0
+            global_state[idx] = (active, dead, ~(active | dead))
+    unstable_count = sum(int(unstable.sum()) for _, _, unstable in global_state.values())
     if unstable_count > budget_unstable:
         return OracleResult("unknown", None, unstable_count, 0,
                             f"{unstable_count} unstable ReLUs exceed budget {budget_unstable}")
@@ -616,7 +606,7 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
     under-approximation), ``sabr``/``taps`` may err on either side.
     """
     x = np.asarray(x, dtype=np.float64)
-    if method == "ibp":
+    if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
         hi = ibp_bounds(net, x, y, eps, clip=clip).hi
         return margin_of_diffs(hi, y), hi
     if method == "pgd":
@@ -629,22 +619,11 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau_ratio * eps,
                                     cfg, rng=rng, clip=clip)
-        tape = T.Tape()
-        params = lift_params(tape, net)
-        tb = input_box_nodes(tape, BoxBounds(region.lo[0], region.hi[0]))
-        hi = elided_bounds_on_tape(net, params, tb, np.asarray([y])).hi.value[0]
+        hi = elided_bounds(net, region, [y]).hi[0]
         return margin_of_diffs(hi, y), hi
     if method == "taps":
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
-        if net.split_index >= len(net.layers):
-            hi = ibp_bounds(net, x, y, eps, clip=clip).hi
-            return margin_of_diffs(hi, y), hi
-        tape = T.Tape()
-        params = lift_params(tape, net)
-        box = box_from_ball(x, eps, clip)
-        latent = propagate_box_on_tape(net, params, input_box_nodes(tape, box),
-                                       stop=net.split_index)
-        latent_box = BoxBounds(latent.lo.value, latent.hi.value)
+        latent_box = propagate_box(net, box_from_ball(x[None], eps, clip), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, np.asarray([y]), cfg,
                                      multi=True, rng=rng)
         flat = points[0]

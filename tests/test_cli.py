@@ -119,6 +119,32 @@ def test_unknown_certify_method_rejected(tmp_path, capsys):
     assert "orcale" in capsys.readouterr().err
 
 
+def _tightness_main(tmp_path, ckpt_input_shape, methods):
+    path = tmp_path / "model.ckpt"
+    net = build_architecture("mlp", ckpt_input_shape, 2, 1, hidden=(4, 4))
+    save_checkpoint(path, init_params(net, 0))
+    return main(["tightness", "--checkpoint", str(path), "--methods", methods,
+                 "--dataset", "moons", "--test-subset", "5", "--out", str(tmp_path / "out")])
+
+
+def test_tightness_unknown_method_rejected_before_oracle(tmp_path, capsys, monkeypatch):
+    called = []
+    monkeypatch.setattr("certitrain.cli.exact_margin_oracle", lambda *a, **k: called.append(a))
+    rc = _tightness_main(tmp_path, (2,), "ibp,pgdd")
+    err = capsys.readouterr().err
+    assert rc == 2 and not called
+    assert err.startswith("config error: ") and "pgdd" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_tightness_input_shape_mismatch_exits_2(tmp_path, capsys):
+    rc = _tightness_main(tmp_path, (5,), "ibp,pgd")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: checkpoint expects input (5,)")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_mnist_dataset_requires_data_dir(monkeypatch):
     monkeypatch.delenv("CERTITRAIN_DATA", raising=False)
     rc = main(["train", "--dataset", "mnist"])

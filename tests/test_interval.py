@@ -6,16 +6,25 @@ import pytest
 from certitrain import tensor as T
 from certitrain.interval import (
     BoxBounds,
+    TapedBox,
     box_from_ball,
+    elided_bounds,
     elided_bounds_on_tape,
     ibp_bounds,
     input_box_nodes,
+    propagate_box,
     propagate_box_on_tape,
-    propagate_interval,
 )
-from certitrain.net import Affine, ReLU, Conv2d, lift_params, forward_batch, elide_final_layer
+from certitrain.net import (Affine, ReLU, Conv2d, build_architecture, init_params, lift_params,
+                            forward_batch, elide_final_layer)
 
 from helpers import random_cnn, random_mlp
+
+
+def box_through(layer, box):
+    """One layer's concrete transfer of a single-sample box."""
+    lo, hi = layer.box(box.lo[None], box.hi[None])
+    return BoxBounds(lo[0], hi[0])
 
 
 def test_box_from_ball_basic():
@@ -41,19 +50,19 @@ def test_box_from_ball_negative_eps():
 
 def test_affine_interval_rule():
     layer = Affine(np.array([[1.0, -1.0]]), np.zeros(1))
-    out = propagate_interval(layer, BoxBounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
+    out = box_through(layer, BoxBounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))
     np.testing.assert_allclose([out.lo[0], out.hi[0]], [-2.0, 2.0])
 
 
 def test_relu_interval_rule():
-    out = propagate_interval(ReLU(), BoxBounds(np.array([-1.0]), np.array([2.0])))
+    out = box_through(ReLU(), BoxBounds(np.array([-1.0]), np.array([2.0])))
     np.testing.assert_allclose([out.lo[0], out.hi[0]], [0.0, 2.0])
 
 
 def test_conv_interval_radius():
     layer = Conv2d(np.ones((1, 1, 2, 2)), np.zeros(1), 1, 0)
     box = BoxBounds(-np.ones((1, 3, 3)), np.ones((1, 3, 3)))
-    out = propagate_interval(layer, box)
+    out = box_through(layer, box)
     np.testing.assert_allclose(0.5 * (out.hi - out.lo), np.full((1, 2, 2), 4.0))
 
 
@@ -73,8 +82,8 @@ def test_extractor_mode_stops_at_split():
     rng = np.random.default_rng(1)
     net = random_mlp(rng, [5, 8, 6, 4], split_relus=1)
     x = rng.uniform(0, 1, size=5)
-    b = ibp_bounds(net, x, y=0, eps=0.05, upto="extractor_output")
-    assert b.lo.shape == net.latent_shape
+    b = propagate_box(net, box_from_ball(x[None], 0.05), stop=net.split_index)
+    assert b.lo.shape == (1,) + net.latent_shape
 
 
 def mc_soundness_violations(net, x, y, eps, n=1000, seed=0, slack=1e-9):
@@ -126,7 +135,7 @@ def test_single_affine_prefix_exact():
     x = rng.uniform(0.2, 0.8, size=6)
     eps = 0.07
     box = box_from_ball(x, eps, clip=None)
-    out = propagate_interval(layer, box)
+    out = box_through(layer, box)
     # exact max per coordinate: choose the sign-matched corner
     corner_hi = w @ x + np.abs(w) @ (eps * np.ones(6)) + b
     corner_lo = w @ x - np.abs(w) @ (eps * np.ones(6)) + b
@@ -158,7 +167,7 @@ def test_bound_gradients_match_fd():
                 else:
                     lifted.append({"weight": tape.constant(layer.weight),
                                    "bias": tape.constant(layer.bias)})
-            box = box_from_ball(x, eps, clip=(0, 1))
+            box = box_from_ball(x[None], eps, clip=(0, 1))
             out = propagate_box_on_tape(net, lifted, input_box_nodes(tape, box))
             mix = T.add(out.hi, T.scale(out.lo, 0.7))
             return T.sum_all(T.mul(mix, tape.constant(coeff[None, :])))
@@ -179,10 +188,23 @@ def test_elided_bounds_match_concrete_elision():
     params = lift_params(tape, net)
     lo = np.maximum(xs - 0.03, 0)
     hi = np.minimum(xs + 0.03, 1)
-    from certitrain.interval import TapedBox
-
     out = elided_bounds_on_tape(net, params, TapedBox(tape.constant(lo), tape.constant(hi)), ys)
     for i in range(6):
         single = ibp_bounds(net, xs[i], int(ys[i]), 0.03)
         np.testing.assert_allclose(out.lo.value[i], single.lo, atol=1e-12)
         np.testing.assert_allclose(out.hi.value[i], single.hi, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch,in_shape", [("mlp", (20,)), ("cnn3", (1, 8, 8))])
+@pytest.mark.parametrize("batch", [1, 6])
+def test_concrete_elided_bounds_equal_taped(arch, in_shape, batch):
+    """The numpy pass gives the taped pass's bounds bit for bit."""
+    net = init_params(build_architecture(arch, in_shape, 10, 1, hidden=(16, 16)), 3)
+    rng = np.random.default_rng(11)
+    box = box_from_ball(rng.uniform(0, 1, size=(batch,) + in_shape), 0.05)
+    ys = rng.integers(0, 10, size=batch)
+    tape = T.Tape()
+    taped = elided_bounds_on_tape(net, lift_params(tape, net), input_box_nodes(tape, box), ys)
+    concrete = elided_bounds(net, box, ys)
+    assert np.array_equal(concrete.lo, taped.lo.value)
+    assert np.array_equal(concrete.hi, taped.hi.value)

@@ -71,7 +71,8 @@ def test_layer_transfers_agree(arch, i, tmp_path):
     elif layer.kind != "relu":
         np.testing.assert_array_equal(flat_out, flat_in)
 
-    # sampled forward outputs lie inside the taped box
+    # sampled forward outputs lie inside the taped box, and the numpy box
+    # equals the taped one bit for bit, for a batch of 3 and of 1
     lo, hi = x - 0.05, x + 0.07
     tape = T.Tape()
     out_lo, out_hi = layer.box_on_tape(tape.constant(lo), tape.constant(hi), layer.lift(tape))
@@ -79,6 +80,12 @@ def test_layer_transfers_agree(arch, i, tmp_path):
         sample = layer.forward(lo + rng.uniform(size=x.shape) * (hi - lo))
         assert np.all(sample >= out_lo.value - 1e-12)
         assert np.all(sample <= out_hi.value + 1e-12)
+    for rows in (slice(None), slice(1, 2)):
+        tape = T.Tape()
+        taped = layer.box_on_tape(tape.constant(lo[rows]), tape.constant(hi[rows]),
+                                  layer.lift(tape))
+        concrete = layer.box(lo[rows], hi[rows])
+        assert all(np.array_equal(c, t.value) for c, t in zip(concrete, taped))
 
     # descriptor -> save -> load -> save gives the same layer and the same bytes
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -178,6 +178,27 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(p)
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    net = init_params(build_architecture("mlp", (2,), 2, 1, hidden=(4, 4)), 0)
+    save_checkpoint(path, net)
+    before = path.read_bytes()
+
+    class Unwritable:  # a parameter array whose bytes cannot be produced
+        shape = (3,)
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("no space left on device")
+
+    other = init_params(net, 1)
+    arrays = other.param_arrays()
+    monkeypatch.setattr(other, "param_arrays", lambda: arrays[:2] + [Unwritable()])
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, other)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_taps_accuracy_eps_zero_is_natural():
     rng = np.random.default_rng(11)
     ds = synthetic_moons(100, seed=11)

@@ -365,6 +365,40 @@ def test_method_bound_signs_against_oracle():
     assert checked >= 4
 
 
+def test_concrete_bound_paths_build_no_tape(monkeypatch):
+    """Paths that only read bound values take no gradient, so they build no tape."""
+    from certitrain import tensor as T
+    from certitrain.interval import ibp_bounds
+    from certitrain.train import _certified_mask, taps_accuracy
+
+    built = []
+    init = T.Tape.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T.Tape, "__init__", counting_init)
+    rng = np.random.default_rng(13)
+    whole = random_mlp(rng, [4, 8, 6, 3])               # empty classifier
+    split = random_mlp(rng, [4, 8, 6, 3], split_relus=1)
+    X = rng.uniform(0, 1, size=(5, 4))
+    y = rng.integers(0, 3, size=5)
+    attack = AttackConfig(steps=2, seed=0)
+    ibp_bounds(whole, X[0], int(y[0]), 0.05)
+    certify_ibp(whole, X[0], int(y[0]), 0.05)
+    _certified_mask(whole, X, y, 0.05)
+    for net in (whole, split):
+        taps_accuracy(net, X, y, 0.05, attack, rng=np.random.default_rng(0))
+        exact_margin_oracle(net, X[0], int(y[0]), 0.05)
+        for method in ("ibp", "sabr", "taps"):
+            method_bound(net, X[0], int(y[0]), 0.05, method, attack=attack,
+                         rng=np.random.default_rng(0))
+    assert built == []
+    T.Tape()
+    assert len(built) == 1  # the count sees a construction
+
+
 def test_adversarial_accuracy_bounds():
     rng = np.random.default_rng(5)
     net = random_mlp(rng, [4, 10, 3], scale=0.7)
