@@ -7,9 +7,11 @@ behaves: its parameters (``param_names``, ``params``, ``lift`` onto a tape,
 ``input_vjp``, the taped ``forward_on_tape``, the interval transfers ``box``
 (numpy) and ``box_on_tape``, ``affine_operator`` on flattened features (None
 without parameters) and its checkpoint ``descriptor``; :data:`LAYER_KINDS`
-maps a descriptor's kind back to the class.  The numpy and taped forwards
-keep separate kernels (``x @ W.T`` and the tape's matmul against a transposed
-copy can differ in the last bits); both box transfers use the taped kernel.
+maps a descriptor's kind back to the class.  The affine numpy and taped
+forwards keep separate kernels (``x @ W.T`` and the tape's matmul against a
+transposed copy can differ in the last bits), and both box transfers use the
+taped kernel; the conv layer runs one kernel, :func:`tensor.conv_forward`,
+on both paths.
 
 A :class:`Network` is an ordered list of layers plus a ``split_index``
 separating the feature extractor ``layers[:split_index]`` from the classifier
@@ -132,6 +134,11 @@ class Affine(Layer):
 
 @dataclass(frozen=True)
 class Conv2d(Layer):
+    """NCHW convolution lowered to one matmul against the channel-major patch
+    matrix (C*kh*kw, B*OH*OW) of :func:`tensor.im2col`; the numpy ``forward``
+    and ``input_vjp`` share their kernel with the taped :func:`tensor.conv2d`,
+    so the two paths agree bit for bit."""
+
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
     bias: np.ndarray    # (out_ch,)
     stride: int = 1
@@ -147,18 +154,10 @@ class Conv2d(Layer):
         return (self.weight.shape[0], oh, ow)
 
     def forward(self, x):
-        cols = T.im2col(x, self.weight.shape[2], self.weight.shape[3], self.stride, self.padding)
-        wmat = self.weight.reshape(self.weight.shape[0], -1)
-        oh, ow = T._conv_geometry(x.shape, self.weight.shape, self.stride, self.padding)
-        out = np.einsum("ok,bkl->bol", wmat, cols, optimize=True)
-        return out.reshape(x.shape[0], -1, oh, ow) + self.bias[None, :, None, None]
+        return T.conv_forward(x, self.weight, self.bias, self.stride, self.padding)[0]
 
     def input_vjp(self, g, x):
-        kh, kw = self.weight.shape[2], self.weight.shape[3]
-        wmat = self.weight.reshape(self.weight.shape[0], -1)
-        gm = g.reshape(g.shape[0], g.shape[1], -1)
-        dcols = np.einsum("ok,bol->bkl", wmat, gm, optimize=True)
-        return T.col2im(dcols, x.shape, kh, kw, self.stride, self.padding)
+        return T.conv_input_vjp(g, self.weight, x.shape, self.stride, self.padding)
 
     def forward_on_tape(self, x, p):
         return T.conv2d(x, p["weight"], p["bias"], self.stride, self.padding)

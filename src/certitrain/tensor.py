@@ -180,16 +180,6 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
     return a.tape.node("clamp", (a,), np.clip(av, lo, hi), lambda g: (g * mask,))
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-    return a.tape.node("exp", (a,), out, lambda g: (g * out,))
-
-
-def log(a: Node) -> Node:
-    av = a.value
-    return a.tape.node("log", (a,), np.log(av), lambda g: (g / av,))
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
@@ -261,29 +251,6 @@ def mean_all(a: Node) -> Node:
         "mean", (a,), np.asarray(av.mean()),
         lambda g: (np.broadcast_to(g * inv, av.shape).copy(),),
     )
-
-
-def sum_rows(a: Node) -> Node:
-    """Sum over axis 1: (R, C) -> (R,)."""
-    av = a.value
-    if av.ndim != 2:
-        raise ShapeError(f"sum_rows: expected 2-D, got {av.shape}")
-    return a.tape.node(
-        "sum_rows", (a,), av.sum(axis=1),
-        lambda g: (np.repeat(g[:, None], av.shape[1], axis=1),),
-    )
-
-
-def logsumexp_rows(a: Node) -> Node:
-    """Stable log(sum(exp(row))) per row: (B, K) -> (B,)."""
-    av = a.value
-    m = av.max(axis=1, keepdims=True)
-    out = np.log(np.exp(av - m).sum(axis=1)) + m[:, 0]
-
-    def bwd(g):
-        return (np.exp(av - out[:, None]) * g[:, None],)
-
-    return a.tape.node("logsumexp_rows", (a,), out, bwd)
 
 
 def log1p_sum_exp_rows(a: Node) -> Node:
@@ -377,56 +344,112 @@ def _conv_geometry(x_shape, w_shape, stride, padding):
     return oh, ow
 
 
+def _tap_slices(k, size, out, stride, padding):
+    """Along one axis, for kernel tap ``k``: the output positions whose read
+    ``pos*stride + k - padding`` lands inside [0, size) rather than on the
+    zero padding, and the strided input slice they read."""
+    lo = min(out, max(0, -((k - padding) // stride)))
+    hi = max(lo, min(out, (size - 1 + padding - k) // stride + 1))
+    start = lo * stride + k - padding
+    return slice(lo, hi), slice(start, start + max(0, (hi - lo - 1) * stride + 1), stride)
+
+
+def _taps(h, w, kh, kw, stride, padding):
+    """(i, j, output window, input window) for every kernel tap, row-major."""
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    col_taps = [_tap_slices(j, w, ow, stride, padding) for j in range(kw)]
+    for i in range(kh):
+        r_out, r_in = _tap_slices(i, h, oh, stride, padding)
+        for j, (c_out, c_in) in enumerate(col_taps):
+            yield i, j, (r_out, c_out), (r_in, c_in)
+
+
 def im2col(x, kh, kw, stride, padding):
-    """(B, C, H, W) -> (B, C*kh*kw, OH*OW) patch matrix."""
+    """(B, C, H, W) -> channel-major patch matrix (C*kh*kw, B*OH*OW).
+
+    Row ``(c*kh + i)*kw + j`` holds kernel tap (i, j) of channel c, so the
+    rows line up with ``weight.reshape(O, -1)``; column ``(b*OH + p)*OW + q``
+    is output position (p, q) of sample b.  The zero padding is written
+    straight into the patch buffer, without a padded copy of ``x``.
+    """
     b, c, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(b, c * kh * kw, oh * ow)
+    xt = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, b, oh, ow), dtype=np.float64)
+    for i, j, window, inner in _taps(h, w, kh, kw, stride, padding):
+        dst = cols[:, i, j]
+        if window != (slice(0, oh), slice(0, ow)):
+            dst.fill(0.0)  # part of this tap reads padding
+        dst[(..., *window)] = xt[(..., *inner)]
+    return cols.reshape(c * kh * kw, b * oh * ow)
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):
-    """Adjoint of :func:`im2col` (scatter-add patches back)."""
+    """Adjoint of :func:`im2col`: scatter-add a (C*kh*kw, B*OH*OW) patch
+    matrix back onto a C-contiguous (B, C, H, W) array, tap by tap in
+    row-major order; entries that :func:`im2col` read from padding drop out."""
     b, c, h, w = x_shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(b, c, kh, kw, oh, ow)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    if padding:
-        xp = xp[:, :, padding : padding + h, padding : padding + w]
-    return xp
+    cols = cols.reshape(c, kh, kw, b, oh, ow)
+    x = np.zeros(x_shape, dtype=np.float64)
+    xt = x.transpose(1, 0, 2, 3)
+    for i, j, window, inner in _taps(h, w, kh, kw, stride, padding):
+        xt[(..., *inner)] += cols[(slice(None), i, j, Ellipsis, *window)]
+    return x
+
+
+def conv_forward(x, w, b, stride, padding):
+    """Numpy kernel of :func:`conv2d`: the C-contiguous (B, O, OH, OW) output
+    and the patch matrix, from one plain matmul ``cols.T @ wmat.T``."""
+    oh, ow = _conv_geometry(x.shape, w.shape, stride, padding)
+    oc = w.shape[0]
+    cols = im2col(x, w.shape[2], w.shape[3], stride, padding)
+    prod = (cols.T @ w.reshape(oc, -1).T).reshape(x.shape[0], oh, ow, oc)
+    out = np.empty((x.shape[0], oc, oh, ow), dtype=np.float64)
+    np.add(prod.transpose(0, 3, 1, 2), b[None, :, None, None], out=out)
+    return out, cols
+
+
+def conv_input_vjp(g, w, x_shape, stride, padding):
+    """Input gradient of a convolution from its (B, O, OH, OW) output
+    gradient: the patch gradient ``wmat.T @ gm``, with ``gm`` the gradient
+    channel-major (O, B*OH*OW), scattered back by :func:`col2im`."""
+    oc, _, kh, kw = w.shape
+    gm = g.transpose(1, 0, 2, 3).reshape(oc, -1)
+    return col2im(w.reshape(oc, -1).T @ gm, x_shape, kh, kw, stride, padding)
 
 
 def conv2d(x: Node, w: Node, b: Node, stride: int, padding: int) -> Node:
-    """Batched 2-D convolution: (B,C,H,W) * (O,C,kh,kw) + (O,) -> (B,O,OH,OW)."""
+    """Batched 2-D convolution: (B,C,H,W) * (O,C,kh,kw) + (O,) -> (B,O,OH,OW).
+
+    Every product is one 2-D matmul against the channel-major patch matrix
+    ``cols`` of :func:`im2col` or its transpose, a view: ``cols.T @ wmat.T``
+    forward (:func:`conv_forward`), ``cols @ gt`` for the weight and
+    ``wmat.T @ gm`` for the patches (:func:`conv_input_vjp`), where
+    ``wmat = w.reshape(O, -1)`` and ``gt`` (B*OH*OW, O) and ``gm``
+    (O, B*OH*OW) hold the output gradient.
+
+    The forward and weight products put output positions on the rows
+    because, for small operands, OpenBLAS rounds the two orientations
+    differently; this one matches earlier releases bit for bit on the cnn3
+    and cnn7 layers at every batch size checked.  The patch product is
+    channel-major so that :func:`col2im` reads it contiguously.
+    """
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 4 or wv.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/kernel, got {xv.shape}, {wv.shape}")
     oc = wv.shape[0]
     if bv.shape != (oc,):
         raise ShapeError(f"conv2d: bias {bv.shape} for {oc} output channels")
-    oh, ow = _conv_geometry(xv.shape, wv.shape, stride, padding)
-    bsz = xv.shape[0]
-    kh, kw = wv.shape[2], wv.shape[3]
-    cols = im2col(xv, kh, kw, stride, padding)          # (B, C*kh*kw, L)
-    wmat = wv.reshape(oc, -1)                           # (O, C*kh*kw)
-    out = np.einsum("ok,bkl->bol", wmat, cols, optimize=True)
-    out = out.reshape(bsz, oc, oh, ow) + bv[None, :, None, None]
+    out, cols = conv_forward(xv, wv, bv, stride, padding)
 
     def bwd(g):
-        gm = g.reshape(bsz, oc, oh * ow)                # (B, O, L)
-        dw = np.einsum("bol,bkl->ok", gm, cols, optimize=True).reshape(wv.shape)
-        dcols = np.einsum("ok,bol->bkl", wmat, gm, optimize=True)
-        dx = col2im(dcols, xv.shape, kh, kw, stride, padding)
+        gt = g.transpose(0, 2, 3, 1).reshape(-1, oc)
+        dw = (cols @ gt).T.reshape(wv.shape)
+        dx = conv_input_vjp(g, wv, xv.shape, stride, padding)
         db = g.sum(axis=(0, 2, 3))
         return (dx, dw, db)
 
@@ -475,7 +498,8 @@ def backward(tape: Tape, root: Node, wanted=None) -> dict[int, np.ndarray]:
     """Reverse-accumulate gradients of a scalar root over the whole tape.
 
     Returns a map node id -> gradient array; nodes the root does not reach
-    get zeros.  ``wanted`` (an iterable of node ids) restricts the returned
+    get zeros.  Each returned array is a fresh C-contiguous copy, shared with
+    no other.  ``wanted`` (an iterable of node ids) restricts the returned
     map and lets consumed intermediate gradients be freed during the sweep,
     which matters for large batched tapes.  Multiple sweeps over one tape
     are independent (no state is mutated), so several roots can be
@@ -486,38 +510,34 @@ def backward(tape: Tape, root: Node, wanted=None) -> dict[int, np.ndarray]:
     if root.value.shape != ():
         raise ValueError(f"backward needs a scalar root, got shape {root.value.shape}")
     keep = None if wanted is None else set(wanted)
+    # Gradients are kept as the rules return them, uncopied: no rule writes
+    # into its gradient argument and accumulation makes a new array.  So the
+    # sweep copies only what it returns, where sharing would show: both
+    # inputs of an ``add`` get one array, and a transpose returns a view.
     grads: dict[int, np.ndarray] = {root.id: np.asarray(1.0)}
     out: dict[int, np.ndarray] = {}
     for node in reversed(tape.nodes[: root.id + 1]):
         g = grads.get(node.id)
-        if g is None:
+        if g is None or node.backward_rule is None:
             continue
-        if keep is not None and node.backward_rule is not None:
+        if keep is not None:
             del grads[node.id]  # fully consumed below
-        if node.backward_rule is None:
-            continue
-        input_grads = node.backward_rule(g)
-        for inp, ig in zip(node.inputs, input_grads):
+            if node.id in keep:
+                out[node.id] = g
+        for inp, ig in zip(node.inputs, node.backward_rule(g)):
             if ig.shape != inp.value.shape:
                 raise ShapeError(
                     f"{node.op}: backward produced {ig.shape} for input of shape "
                     f"{inp.value.shape}"
                 )
             acc = grads.get(inp.id)
-            grads[inp.id] = ig.copy() if acc is None else acc + ig
-        if keep is not None and node.id in keep:
-            out[node.id] = g
-    if keep is not None:
-        for nid in keep:
-            g = grads.get(nid)
-            if nid not in out:
-                out[nid] = np.zeros_like(tape.nodes[nid].value) if g is None else np.asarray(g)
-        return out
-    full = {}
-    for node in tape.nodes:
-        g = grads.get(node.id)
-        full[node.id] = np.zeros_like(node.value) if g is None else np.asarray(g)
-    return full
+            grads[inp.id] = ig if acc is None else acc + ig
+    if keep is None:
+        keep, out = range(len(tape.nodes)), grads
+    else:
+        out.update((nid, grads[nid]) for nid in keep if nid in grads)
+    return {nid: np.array(out[nid], order="C") if nid in out
+            else np.zeros_like(tape.nodes[nid].value) for nid in keep}
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,20 @@ def test_layer_transfers_agree(arch, i, tmp_path):
     out = layer.forward(x)
     assert out.shape == (x.shape[0],) + net.shape_after(i + 1)
 
-    # taped forward, and the input VJP against the tape's input gradient
+    # taped forward, and the input VJP against the tape's input gradient:
+    # equal bit for bit where both paths run one kernel, every kind but affine
     tape = T.Tape()
     xn = tape.leaf(x)
     taped = layer.forward_on_tape(xn, layer.lift(tape))
-    np.testing.assert_allclose(taped.value, out, rtol=1e-12, atol=1e-12)
     g = rng.normal(size=out.shape)
     grads = T.backward(tape, T.sum_all(T.mul(taped, tape.constant(g))), wanted=[xn.id])
-    np.testing.assert_allclose(layer.input_vjp(g, x), grads[xn.id], rtol=1e-12, atol=1e-12)
+    vjp = layer.input_vjp(g, x)
+    if layer.kind == "affine":
+        np.testing.assert_allclose(taped.value, out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vjp, grads[xn.id], rtol=1e-12, atol=1e-12)
+    else:
+        assert np.array_equal(taped.value, out)
+        assert np.array_equal(vjp, grads[xn.id])
 
     # operator @ x + offset on flattened features; None: no parameters, and
     # a layer other than ReLU then passes features through
