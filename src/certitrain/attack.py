@@ -1,8 +1,10 @@
 """PGD attacks over input balls and latent boxes, plus small-box selection.
 
 All attacks are batched over axis 0 and deterministic given (config, rng).
-The multi-estimator latent attack runs one maximization per wrong class,
-batching all (sample, target) rows through the classifier together.
+Every restart of every row runs in one batched ascent: the restarts are
+stacked on a leading axis, so a network pass sees R * B rows.  The
+multi-estimator latent attack runs one maximization per wrong class,
+batching all (restart, sample, target) rows through the classifier together.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interval import BoxBounds, box_from_ball
-from .net import Network, forward_backward_input
+from .net import Network, forward_backward_input, forward_batch
 
 __all__ = [
     "AttackConfig",
@@ -75,38 +77,94 @@ def _logit_diff_objective(targets, labels):
     return seed
 
 
-def _objective_for(cfg: AttackConfig, labels, batch):
+def _objective_targets(cfg: AttackConfig, labels):
+    """Per-row targets of a ``("logit_diff", t)`` objective; None for cross-entropy."""
     if cfg.objective == "cross_entropy":
-        return _ce_objective(labels)
+        return None
     if isinstance(cfg.objective, tuple) and cfg.objective[0] == "logit_diff":
-        target = cfg.objective[1]
-        targets = np.full(batch, target, dtype=np.intp) if np.isscalar(target) else target
-        return _logit_diff_objective(targets, labels)
+        return np.broadcast_to(np.asarray(cfg.objective[1], dtype=np.intp), labels.shape)
     raise ValueError(f"unknown attack objective {cfg.objective!r}")
 
 
-def _ascend(net, start, stop, lo, hi, labels, cfg, rng, seed_fn):
-    """Shared PGD loop: returns the best-objective iterate per row."""
+def _starts(rng, shape):
+    """Uniform [0, 1) draws of ``shape`` = (R, B, ...): from one generator, the
+    stream of R draws of (B, ...) made one after another; from a sequence of B
+    generators, generator i gives row i the stream of R draws of (1, ...)."""
+    if isinstance(rng, np.random.Generator):
+        return rng.uniform(size=shape)
+    if len(rng) != shape[1]:
+        raise ValueError(f"{len(rng)} generators for {shape[1]} rows")
+    row = (shape[0], 1) + shape[2:]
+    return np.concatenate([g.uniform(size=row) for g in rng], axis=1)
+
+
+def _signed_step(x, g, buf, eta, lo, hi):
+    """In place: x <- clip(x + eta * sign(g), lo, hi), rounded as np.clip rounds
+    it.  ``x``, ``g`` and ``buf`` are (R, ...) views that ``eta``, ``lo`` and
+    ``hi`` broadcast against."""
+    np.sign(g, out=buf)
+    buf *= eta
+    x += buf
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
+
+
+def _check_projection(x, lo, hi):
+    """Raise if an (R, ...) iterate left its box; a NaN coordinate counts as
+    an infinite escape."""
+    over = np.nan_to_num(np.maximum(lo - x, x - hi), nan=np.inf)
+    if over.max() > 0.0:
+        at = np.unravel_index(np.argmax(over), over.shape)
+        raise RuntimeError(f"PGD iterate escaped its box by {over[at]:.3g} "
+                           f"(restart {at[0]}, index {tuple(map(int, at[1:]))})")
+
+
+def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
+    """Batched PGD: the best-objective iterate per row.
+
+    ``labels`` (and ``targets`` for the logit-difference objective; None means
+    cross-entropy) have the rows' shape ``lead``; ``lo`` and ``hi`` are
+    ``lead + feat``, where ``feat`` is the input shape of ``layers[start]``,
+    and may be broadcast views.  ``rng`` is one generator, or one per leading
+    row (sequence of ``lead[0]``).  All ``cfg.restarts`` restarts run as one
+    pass over R * prod(lead) rows, restart-major; each row keeps the first
+    maximum over its (restart, step) sequence, as R sequential runs with a
+    strict ``>`` would.  The last of the ``steps + 1`` evaluations is
+    forward-only, because its gradient is never used.
+    """
+    lead = np.shape(labels)
+    r, stop = cfg.restarts, len(net.layers)
+    shape = (r,) + lo.shape
+    feat = shape[1 + len(lead):]
     eta = cfg.resolve_step(lo, hi)
-    best_x = None
-    best_val = None
-    for _ in range(cfg.restarts):
-        x = lo + rng.uniform(size=lo.shape) * (hi - lo)
-        for step in range(cfg.steps + 1):
+    xv = lo + _starts(rng, shape) * (hi - lo)   # (R, *lead, *feat)
+    x = xv.reshape((-1,) + feat)                # the same memory as R * prod(lead) rows
+    tile = lambda a: np.broadcast_to(a, (r,) + lead).reshape(-1)
+    seed_fn = (_ce_objective(tile(labels)) if targets is None
+               else _logit_diff_objective(tile(targets), tile(labels)))
+    best_x, best_val = x.copy(), None
+    buf = np.empty(shape)
+    for step in range(cfg.steps + 1):
+        last = step == cfg.steps
+        if last:
+            vals, _ = seed_fn(forward_batch(net, x, start=start, stop=stop))
+        else:
             vals, g = forward_backward_input(net, x, seed_fn, start=start, stop=stop)
-            if best_val is None:
-                best_val, best_x = vals.copy(), x.copy()
-            else:
-                better = vals > best_val
-                if np.any(better):
-                    best_val = np.where(better, vals, best_val)
-                    best_x[better] = x[better]
-            if step == cfg.steps:
-                break
-            x = np.clip(x + eta * np.sign(g), lo, hi)
-            if cfg.check_projection:
-                assert np.all(x >= lo) and np.all(x <= hi), "PGD iterate escaped its box"
-    return best_x, best_val
+        if best_val is None:
+            best_val = vals.copy()
+        else:
+            better = vals > best_val
+            np.copyto(best_val, vals, where=better)
+            np.copyto(best_x, x, where=better.reshape((-1,) + (1,) * len(feat)))
+        if last:
+            break
+        _signed_step(xv, g.reshape(shape), buf, eta, lo, hi)
+        if cfg.check_projection:
+            _check_projection(xv, lo, hi)
+    # np.argmax takes the first maximum, as the strict ">" does within a restart
+    pick = np.argmax(best_val.reshape((r,) + lead), axis=0)
+    pick = pick.reshape((1,) + lead + (1,) * len(feat))
+    return np.take_along_axis(best_x.reshape(shape), pick, axis=0)[0]
 
 
 def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None, clip=(0.0, 1.0)):
@@ -114,7 +172,12 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None, clip=(0.0, 1
 
     Batched: ``x`` is (B, ...), ``y`` an int array (B,).  The returned points
     lie inside the ball; per sample the best-objective iterate over all
-    restarts and steps is returned.
+    restarts and steps is returned.  All restarts of all samples run as one
+    batched ascent (see :func:`_ascend`).  ``rng`` is one generator shared by
+    the batch, or a sequence of B generators, one per sample: then sample i
+    gets exactly the points that attacking it alone with ``rng[i]`` gives
+    (up to the last bits of the BLAS products, which may round a one-row
+    product differently from a many-row one).
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = np.asarray(x, dtype=np.float64)
@@ -122,9 +185,7 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None, clip=(0.0, 1
     box = box_from_ball(x, eps, clip)
     if eps == 0.0:
         return x.copy()
-    seed_fn = _objective_for(cfg, y, x.shape[0])
-    best, _ = _ascend(net, 0, len(net.layers), box.lo, box.hi, y, cfg, rng, seed_fn)
-    return best
+    return _ascend(net, 0, box.lo, box.hi, y, _objective_targets(cfg, y), cfg, rng)
 
 
 def margin_targets(num_classes, y):
@@ -145,7 +206,10 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True,
     separate point; it returns (points (B, T, ...latent), targets (B, T)).
     Single mode maximizes one cross-entropy objective and returns (B,
     ...latent).  Every returned point lies inside the box; degenerate
-    coordinates (lo == hi) stay frozen at the bound.
+    coordinates (lo == hi) stay frozen at the bound.  All restarts and (in
+    multi mode) all targets run as one batched ascent; the box is broadcast
+    over both axes, not copied.  ``rng`` is one generator, which draws as R
+    sequential restarts over the (B * T) rows would, or one per sample.
     """
     if net.split_index >= len(net.layers):
         raise ValueError("network has an empty classifier; latent attack is undefined")
@@ -154,21 +218,16 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True,
     lo, hi = box.lo, box.hi
     start = net.split_index
     if not multi:
-        seed_fn = _ce_objective(y)
-        best, _ = _ascend(net, start, len(net.layers), lo, hi, y, cfg, rng, seed_fn)
-        return best
+        return _ascend(net, start, lo, hi, y, None, cfg, rng)
 
     if targets is None:
         targets = margin_targets(net.num_classes, y)
     targets = np.asarray(targets, dtype=np.intp)
     b, t = targets.shape
-    reps = lambda a: np.repeat(a, t, axis=0)
-    lo_f, hi_f = reps(lo), reps(hi)
-    y_f = np.repeat(y, t)
-    tgt_f = targets.reshape(-1)
-    seed_fn = _logit_diff_objective(tgt_f, y_f)
-    best, _ = _ascend(net, start, len(net.layers), lo_f, hi_f, y_f, cfg, rng, seed_fn)
-    return best.reshape((b, t) + lo.shape[1:]), targets
+    per_target = lambda a: np.broadcast_to(a[:, None], (b, t) + a.shape[1:])
+    best = _ascend(net, start, per_target(lo), per_target(hi),
+                   np.broadcast_to(y[:, None], (b, t)), targets, cfg, rng)
+    return best, targets
 
 
 def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng=None,

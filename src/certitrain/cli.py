@@ -33,6 +33,7 @@ from .data import (
     take_subset,
 )
 from .loss import LossKind
+from .net import forward_concrete
 from .train import (NumericError, Schedule, TrainConfig, _certified_mask, natural_accuracy,
                     taps_accuracy, train_run)
 from .verify import (
@@ -41,6 +42,7 @@ from .verify import (
     certify_ibp,
     exact_margin_oracle,
     method_bound,
+    pgd_margins,
     verdict_json_line,
 )
 
@@ -303,24 +305,24 @@ def cmd_train(config: Config) -> dict:
 # ---------------------------------------------------------------------------
 
 def _certify_chunk(args):
-    net, X, y, ids, eps, attack_cfg, oracle, budget = args
+    net, X, y, ids, eps, attack_cfg, methods, budget = args
+    if "pgd" in methods:
+        pgd = pgd_margins(net, X, y, eps, attack_cfg,
+                          rng=[np.random.default_rng(attack_cfg.seed + i) for i in ids])
+    else:
+        pgd = [None] * len(ids)
     out = []
     for i in range(len(ids)):
         x, label = X[i], int(y[i])
-        from .net import forward_concrete
-
         nat = bool(np.argmax(forward_concrete(net, x)) == label)
         certified, hi = certify_ibp(net, x, label, eps)
-        pgd_margin, _ = method_bound(net, x, label, eps, "pgd", attack=attack_cfg,
-                                     rng=np.random.default_rng(attack_cfg.seed + ids[i]))
         exact = None
-        if oracle:
+        if "oracle" in methods:
             res = exact_margin_oracle(net, x, label, eps, budget_unstable=budget)
             exact = res.margin if res.exact else None
         out.append(SampleVerdict(
             sample_id=int(ids[i]), natural_correct=nat, ibp_certified=bool(certified),
-            pgd_margin=float(pgd_margin), exact_margin=exact,
-            method_bounds={"ibp": hi}))
+            pgd_margin=pgd[i], exact_margin=exact, method_bounds={"ibp": hi}))
     return out
 
 
@@ -344,14 +346,19 @@ def _checked_inputs(config: Config, checkpoint_path, methods, known):
 
 
 def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict:
-    """Certify the test set; ibp and pgd always run, ``oracle`` adds the exact oracle."""
+    """Certify the test set; ibp always runs, ``pgd`` adds the attack (one
+    batched call per chunk) and ``oracle`` the exact oracle."""
     net, ds = _checked_inputs(config, checkpoint_path, methods, CERTIFY_METHODS)
     use_oracle = "oracle" in methods
     attack_cfg = config.eval_attack()
     ids = np.arange(len(ds))
-    chunks = np.array_split(ids, max(1, min(config.jobs * 4, len(ds))))
+    # a chunk's attack runs len(chunk) * restarts rows per pass; at most a
+    # training batch of them keeps certification within training's memory
+    per_chunk = max(1, config.batch_size // attack_cfg.restarts)
+    n_chunks = max(config.jobs * 4, -(-len(ds) // per_chunk))
+    chunks = np.array_split(ids, max(1, min(n_chunks, len(ds))))
     args = [(net, ds.images[c], ds.labels[c], c, config.epsilon, attack_cfg,
-             use_oracle, config.oracle_budget) for c in chunks if len(c)]
+             tuple(methods), config.oracle_budget) for c in chunks if len(c)]
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -369,7 +376,8 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
             fh.write(verdict_json_line(v) + "\n")
 
     nat = float(np.mean([v.natural_correct for v in verdicts]))
-    adv = float(np.mean([v.pgd_margin < 0 for v in verdicts]))
+    adv = (float(np.mean([v.pgd_margin < 0 for v in verdicts])) if "pgd" in methods
+           else None)
     ibp_cert = float(np.mean([v.ibp_certified for v in verdicts]))
     oracle_resolved = [v for v in verdicts if v.exact_margin is not None]
     certified = float(np.mean([
@@ -385,7 +393,8 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
         "verdicts": verdict_path,
     }
     label = "IBP(+oracle)-certified" if use_oracle else "IBP-certified"
-    print(f"natural={nat:.4f} adversarial={adv:.4f} {label}={certified:.4f}")
+    adv_text = "n/a" if adv is None else f"{adv:.4f}"
+    print(f"natural={nat:.4f} adversarial={adv_text} {label}={certified:.4f}")
     if use_oracle:
         print(f"oracle coverage: {summary['oracle_coverage']:.2%}")
     return summary
@@ -564,8 +573,8 @@ def main(argv=None) -> int:
     _add_config_flags(p_cert)
     p_cert.add_argument("--checkpoint", required=True)
     p_cert.add_argument("--methods", default="ibp,pgd",
-                        help="comma list from {ibp,pgd,oracle}; ibp and pgd always run, "
-                             "oracle adds the exact margin oracle")
+                        help="comma list from {ibp,pgd,oracle}; ibp always runs, pgd adds "
+                             "the attack, oracle the exact margin oracle")
 
     p_tight = sub.add_parser("tightness", help="margin-error histograms vs exact oracle")
     _add_config_flags(p_tight)

@@ -48,6 +48,8 @@ class Dataset:
             )
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label outside [0, num_classes)")
+        if not np.all(np.isfinite(self.images)):
+            raise ValueError("images hold NaN or infinite values")
         if self.domain01 and self.images.size:
             if self.images.min() < 0.0 or self.images.max() > 1.0:
                 raise ValueError("images outside [0, 1] for a [0,1]-domain dataset")

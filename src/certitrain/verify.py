@@ -34,6 +34,7 @@ __all__ = [
     "margin_upper_bound",
     "LP_TOLERANCE",
     "method_bound",
+    "pgd_margins",
     "adversarial_accuracy",
     "variance_theorem_check",
     "VarianceReport",
@@ -598,6 +599,23 @@ def margin_of_diffs(diffs, y):
     return float(others.max())
 
 
+def _margin_at(net: Network, point, y):
+    """(margin, logit differences) at one input point, from a one-row forward."""
+    logits = forward_batch(net, point[None])[0]
+    diffs = logits - logits[y]
+    return margin_of_diffs(diffs, y), diffs
+
+
+def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng=None, clip=(0.0, 1.0)):
+    """PGD margin of each sample of a batch: one batched attack over all
+    samples and restarts, each margin read at its sample's point as
+    :func:`method_bound` ``"pgd"`` reads it.  ``rng`` is one generator or one
+    per sample (see :func:`attack.pgd_input`)."""
+    y = np.asarray(y, dtype=np.intp)
+    adv = pgd_input(net, X, y, eps, attack, rng=rng, clip=clip)
+    return [_margin_at(net, point, label)[0] for point, label in zip(adv, y)]
+
+
 def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
                  rng=None, clip=(0.0, 1.0)):
     """(margin approximation, logit-difference vector) for one method.
@@ -612,9 +630,7 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
     if method == "pgd":
         cfg = attack or AttackConfig(steps=50, restarts=3, seed=0)
         adv = pgd_input(net, x[None], np.asarray([y]), eps, cfg, rng=rng, clip=clip)[0]
-        logits = forward_batch(net, adv[None])[0]
-        diffs = logits - logits[y]
-        return margin_of_diffs(diffs, y), diffs
+        return _margin_at(net, adv, y)
     if method == "sabr":
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau_ratio * eps,
@@ -769,7 +785,7 @@ class SampleVerdict:
     sample_id: int
     natural_correct: bool
     ibp_certified: bool
-    pgd_margin: float
+    pgd_margin: float | None
     exact_margin: float | None = None
     method_bounds: dict = field(default_factory=dict)
 

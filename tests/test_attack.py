@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from certitrain import attack
 from certitrain.attack import AttackConfig, margin_targets, pgd_input, pgd_latent, sabr_select_region
+from certitrain.cli import _certify_chunk, cmd_certify, config_from_dict
+from certitrain.checkpoint import save_checkpoint
+from certitrain.data import synthetic_moons
 from certitrain.interval import BoxBounds
 from certitrain.net import Affine, Network, forward_batch
+from certitrain.verify import verdict_json_line
 
-from helpers import random_mlp
+from helpers import dyadic_mlp, random_mlp, reference_pgd
 
 
 def linear_net(w, b=None, num_classes=None):
@@ -46,6 +51,38 @@ def test_attack_stays_in_clipped_ball():
     adv = pgd_input(net, x, y, eps, cfg)
     assert np.all(adv >= np.maximum(x - eps, 0) - 1e-12)
     assert np.all(adv <= np.minimum(x + eps, 1) + 1e-12)
+
+
+def test_check_projection_raises_on_escape(monkeypatch):
+    # a raise, not an assert: `python -O` must not strip the check
+    def leaky_step(x, g, buf, eta, lo, hi):
+        x[...] = lo
+        x[1, 0, 3] = hi[0, 3] + 0.25
+
+    monkeypatch.setattr(attack, "_signed_step", leaky_step)
+    net = random_mlp(np.random.default_rng(2), [5, 8, 3])
+    x = np.full((2, 5), 0.5)
+    cfg = AttackConfig(steps=2, restarts=2, check_projection=True)
+    with pytest.raises(RuntimeError, match=r"escaped its box by 0\.25 \(restart 1, index \(0, 3\)\)"):
+        pgd_input(net, x, np.array([0, 1]), 0.1, cfg)
+    pgd_input(net, x, np.array([0, 1]), 0.1, AttackConfig(steps=2, restarts=2))
+
+
+def test_tied_values_keep_the_first_iterate(monkeypatch):
+    # every pass returns the same value while the iterates move, so the first
+    # iterate of the first restart must win, as a strict ">" over sequential
+    # restarts keeps it
+    def flat_pass(net, x, seed_fn, start=0, stop=None):
+        return seed_fn(np.zeros((len(x), 2)))[0], np.ones_like(x)
+
+    monkeypatch.setattr(attack, "forward_backward_input", flat_pass)
+    monkeypatch.setattr(attack, "forward_batch", lambda net, x, start=0, stop=None:
+                        np.zeros((len(x), 2)))
+    x = np.full((3, 2), 0.5)
+    got = pgd_input(linear_net(np.eye(2)), x, np.zeros(3, dtype=int), 0.25,
+                    AttackConfig(steps=4, restarts=3), rng=np.random.default_rng(1))
+    want = (x - 0.25) + np.random.default_rng(1).uniform(size=x.shape) * 0.5
+    assert np.array_equal(got, want)
 
 
 def test_attack_increases_loss_most_of_the_time():
@@ -181,3 +218,89 @@ def test_sabr_invalid_tau():
 def test_margin_targets():
     t = margin_targets(4, np.array([0, 2]))
     np.testing.assert_array_equal(t, [[1, 2, 3], [0, 1, 3]])
+
+
+# Batched ascent against the sequential reference in helpers.py.  On a dyadic
+# net every BLAS sum is exact, so batching restarts and rows must change no
+# bit; dyadic inputs, a dyadic eps and a power-of-two step count keep the
+# step size exact as well.
+
+def _dyadic_case(seed, rows=5, dims=(4, 6, 6, 3), split_relus=0):
+    rng = np.random.default_rng(seed)
+    net = dyadic_mlp(rng, list(dims), split_relus=split_relus)
+    x = rng.integers(0, 17, size=(rows, dims[0])) / 16.0
+    y = rng.integers(0, dims[-1], size=rows)
+    return net, x, y
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_pgd_input_matches_sequential_reference(per_row):
+    net, x, y = _dyadic_case(22)
+    targets = (y + 1) % net.num_classes
+    eps = 0.125
+    box_lo, box_hi = np.maximum(x - eps, 0.0), np.minimum(x + eps, 1.0)
+
+    def gens():
+        if per_row:
+            return [np.random.default_rng(7 + i) for i in range(len(y))]
+        return np.random.default_rng(7)
+
+    got = {}
+    for restarts in (1, 3):
+        cfg = AttackConfig(steps=8, restarts=restarts, objective=("logit_diff", targets))
+        got_rng, ref_rng = gens(), gens()
+        got[restarts] = pgd_input(net, x, y, eps, cfg, rng=got_rng)
+        want = reference_pgd(net, box_lo, box_hi, y, targets, 8, restarts, ref_rng)
+        assert np.array_equal(got[restarts], want)
+        # the draws advance each generator exactly as R separate draws do
+        for a, b in zip(np.atleast_1d(got_rng), np.atleast_1d(ref_rng)):
+            assert a.bit_generator.state == b.bit_generator.state
+    assert not np.array_equal(got[1], got[3])  # later restarts win some rows
+
+
+def test_pgd_latent_multi_matches_sequential_reference():
+    net, _, y = _dyadic_case(22, dims=(4, 6, 6, 4), split_relus=1)
+    rng = np.random.default_rng(31)
+    lo = rng.integers(-8, 9, size=(len(y),) + net.latent_shape) / 8.0
+    hi = lo + rng.integers(0, 5, size=lo.shape) / 4.0
+    got = {}
+    for restarts in (1, 3):
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        pts, tgts = pgd_latent(net, BoxBounds(lo, hi), y, AttackConfig(steps=4, restarts=restarts),
+                               multi=True, rng=got_rng)
+        t = tgts.shape[1]
+        want = reference_pgd(net, np.repeat(lo, t, axis=0), np.repeat(hi, t, axis=0),
+                             np.repeat(y, t), tgts.reshape(-1), 4, restarts, ref_rng,
+                             start=net.split_index)
+        assert np.array_equal(pts.reshape(want.shape), want)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        got[restarts] = pts
+    assert not np.array_equal(got[1], got[3])
+
+
+def test_certify_chunk_matches_per_sample_and_parallel(tmp_path):
+    net = dyadic_mlp(np.random.default_rng(40), [2, 8, 8, 2])
+    cfg = config_from_dict(dict(dataset="moons", test_subset=12, epsilon=0.0625,
+                                eval_attack_steps=8, eval_attack_restarts=3,
+                                out=str(tmp_path / "serial"), seed=3))
+    ds = synthetic_moons(12, noise=0.08, seed=cfg.seed + 10_000)
+    ids = np.arange(len(ds))
+    methods = ("ibp", "pgd", "oracle")
+
+    def chunk(c):
+        return _certify_chunk((net, ds.images[c], ds.labels[c], c, cfg.epsilon,
+                               cfg.eval_attack(), methods, cfg.oracle_budget))
+
+    whole = [verdict_json_line(v) for v in chunk(ids)]
+    alone = [verdict_json_line(v) for i in ids for v in chunk(ids[i : i + 1])]
+    assert whole == alone
+    assert '"pgd_margin": null' not in "".join(whole)
+
+    ckpt = str(tmp_path / "net.ckpt")
+    save_checkpoint(ckpt, net)
+    serial = cmd_certify(cfg, ckpt, methods)
+    parallel = cmd_certify(config_from_dict(dict(vars(cfg), out=str(tmp_path / "par"),
+                                                 jobs=2)), ckpt, methods)
+    lines = open(serial["verdicts"]).read()
+    assert lines == "".join(line + "\n" for line in whole)
+    assert lines == open(parallel["verdicts"]).read()

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from certitrain.checkpoint import MAGIC, save_checkpoint
@@ -19,6 +20,8 @@ from certitrain.cli import (
     main,
 )
 from certitrain.net import build_architecture, init_params
+
+from helpers import dyadic_mlp
 
 
 def fast_overrides(tmp_path, **kw):
@@ -192,6 +195,47 @@ def test_certify_eps_zero_equals_natural(tmp_path):
     cfg0 = dataclasses.replace(cfg, epsilon=0.0)
     summary = cmd_certify(cfg0, result["best"], methods=("ibp",))
     assert summary["certified_accuracy"] == summary["natural_accuracy"]
+
+
+@pytest.mark.parametrize("methods", [("ibp",), ("ibp", "oracle")])
+def test_certify_without_pgd_runs_no_attack(tmp_path, monkeypatch, methods):
+    import certitrain.attack as attack
+
+    passes = []
+    real = attack.forward_backward_input
+    monkeypatch.setattr(attack, "forward_backward_input",
+                        lambda *a, **kw: passes.append(1) or real(*a, **kw))
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, init_params(build_architecture("mlp", (2,), 2, 1, hidden=(4, 4)), 0))
+    cfg = config_from_dict(fast_overrides(tmp_path, test_subset=8))
+    summary = cmd_certify(cfg, str(ckpt), methods=methods)
+    assert passes == []
+    assert summary["adversarial_accuracy"] is None
+    verdicts = [json.loads(l) for l in open(summary["verdicts"])]
+    assert len(verdicts) == 8 and all(v["pgd_margin"] is None for v in verdicts)
+    # the same checkpoint with pgd asked for does attack
+    cmd_certify(cfg, str(ckpt), methods=("ibp", "pgd"))
+    assert passes
+
+
+def test_certify_chunks_hold_at_most_a_batch_of_attack_rows(tmp_path, monkeypatch):
+    import certitrain.cli as cli
+
+    ckpt = tmp_path / "net.ckpt"
+    # rounds alike at any row count, so the verdicts may not depend on chunking
+    save_checkpoint(ckpt, dyadic_mlp(np.random.default_rng(1), [2, 6, 6, 2]))
+    sizes = []
+    real = cli._certify_chunk
+    monkeypatch.setattr(cli, "_certify_chunk", lambda a: sizes.append(len(a[3])) or real(a))
+    small = config_from_dict(fast_overrides(tmp_path, test_subset=30, batch_size=10,
+                                            eval_attack_restarts=3, out=str(tmp_path / "s")))
+    big = config_from_dict(dict(vars(small), batch_size=128, out=str(tmp_path / "b")))
+    a = cmd_certify(small, str(ckpt))
+    assert len(sizes) == 10 and max(sizes) == 3     # 3 samples x 3 restarts <= 10 rows
+    sizes.clear()
+    b = cmd_certify(big, str(ckpt))
+    assert len(sizes) == 4
+    assert open(a["verdicts"]).read() == open(b["verdicts"]).read()
 
 
 def test_certify_with_oracle_coverage(tmp_path):

@@ -140,3 +140,11 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         Dataset(np.full((2, 2), 1.5), np.array([0, 1]), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("domain01", [True, False])
+def test_dataset_rejects_nonfinite_images(bad, domain01):
+    images = np.array([[bad, 0.5], [0.25, 0.75]])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        Dataset(images, np.array([0, 1]), 2, domain01=domain01)
