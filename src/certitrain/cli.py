@@ -422,8 +422,9 @@ def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bi
                                      if m == "pgd" else AttackConfig(steps=50, seed=config.seed))
             errors[m].append(margin - res.margin)
     if skipped == len(ds):
-        raise RuntimeError(
-            "exact oracle resolved no samples; shrink the network or lower epsilon"
+        raise ConfigError(
+            "exact oracle resolved no samples; shrink the network, lower epsilon "
+            "or raise oracle_budget"
         )
     os.makedirs(config.out, exist_ok=True)
     lo = min(min(e) for e in errors.values() if e)

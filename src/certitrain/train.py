@@ -230,6 +230,14 @@ def clip_gradients(grads, threshold):
     return grads, norm
 
 
+def _first_nonfinite(net: Network, grads):
+    """'; first non-finite gradient: layer i (Kind) name', or '' if all are finite."""
+    for (i, name, _), g in zip(net.params(), grads):
+        if not np.all(np.isfinite(g)):
+            return f"; first non-finite gradient: layer {i} ({type(net.layers[i]).__name__}) {name}"
+    return ""
+
+
 def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch,
                clip=(0.0, 1.0)):
     """Apply one update; returns the metrics row for this step."""
@@ -274,12 +282,12 @@ def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch,
         objective += l1_val
 
     if not np.isfinite(objective):
-        raise NumericError(
-            f"non-finite loss at epoch {state.epoch} step {state.step}: {objective}"
-        )
+        raise NumericError(f"non-finite loss {objective} at epoch {state.epoch} "
+                           f"step {state.step}{_first_nonfinite(state.net, grads)}")
     grads, norm = clip_gradients(grads, sched.grad_clip)
     if not np.isfinite(norm):
-        raise NumericError(f"non-finite gradient norm at step {state.step}")
+        raise NumericError(f"non-finite gradient norm at epoch {state.epoch} "
+                           f"step {state.step}{_first_nonfinite(state.net, grads)}")
 
     state.net = state.net.with_params(state.optimizer.step(state.net.param_arrays(), grads, lr))
     state.epsilon = eps

@@ -6,7 +6,16 @@ The oracle enumerates activation patterns of interval-unstable ReLUs only
 is affine, so each elided-logit maximum over the input box intersected with
 the pattern's halfspaces is an LP; with no branched constraints the maximum
 is the closed-form corner value.  Budgets turn excessive instances into an
-explicit Unknown, never a wrong number.
+explicit Unknown, never a wrong number; so does an LP solver failure.
+
+Before a pattern's LPs, two numpy tests skip the LPs whose answers are
+already known, as MILP verifiers' presolve does (Tjeng, Xiao & Tedrake, ICLR
+2019; Ehlers, ATVA 2017): bound tightening of the input box against the
+pattern's halfspaces rejects patterns that are empty, and a corner bound over
+the tightened box skips classes that cannot beat the best margin so far.
+Both allow ten times the solver's feasibility tolerance, so margins are those
+of solving every LP, bit for bit, and ``n_patterns`` still counts every
+enumerated pattern.
 """
 
 from __future__ import annotations
@@ -76,13 +85,87 @@ def _interval_of_rows(m, v, center, radius):
     return c - r, c + r
 
 
+# The pattern prunes relax every row and bound by ten times HiGHS's primal
+# feasibility tolerance (1e-7), by which a point it returns may break a row or
+# a bound; the spare 9e-7 absorbs the float rounding of the tightening sweep.
+_PRUNE_MARGIN = 1e-6
+# Later passes reject little more: on 100 random small instances, 1 pass left
+# 1,262 LPs, 4 passes 977 and 10 passes 959.
+_TIGHTEN_PASSES = 4
+
+
+def _tighten_box(a_ub, b_ub, lo, hi):
+    """A box holding every x with a_ub @ x <= b_ub + margin and
+    lo - margin <= x <= hi + margin (margin = ``_PRUNE_MARGIN``), or None
+    when that set is empty.
+
+    Feasibility-based bound tightening, each pass one Jacobi sweep over all
+    rows and columns at once: with s_k = b_k - (minimum of row k over the
+    box), row k caps x_j at lo_j + s_k / a_kj where a_kj > 0 and raises it
+    to hi_j + s_k / a_kj where a_kj < 0.  A point that breaks every row and
+    bound by at most the solver's tolerance keeps s_k >= 9e-7 and stays
+    inside the box on every pass, so a negative s_k or an empty box proves
+    that HiGHS can find no such point and must report the LP infeasible.
+    """
+    b = b_ub + _PRUNE_MARGIN
+    lo, hi = lo - _PRUNE_MARGIN, hi + _PRUNE_MARGIN
+    pos, neg = a_ub > 0.0, a_ub < 0.0
+    for _ in range(_TIGHTEN_PASSES):
+        slack = b - np.where(pos, a_ub * lo, a_ub * hi).sum(axis=1)
+        if (slack < 0.0).any():
+            return None
+        step = np.divide(slack[:, None], a_ub, out=np.zeros_like(a_ub), where=pos | neg)
+        lo, hi = (np.maximum(lo, hi + np.where(neg, step, -np.inf).max(axis=0)),
+                  np.minimum(hi, lo + np.where(pos, step, np.inf).min(axis=0)))
+        if (lo > hi).any():
+            return None
+    return lo, hi
+
+
+def _corner_bounds(m, v, lo, hi):
+    """Per row, a float64 value that the oracle's evaluation of m @ x + v
+    cannot exceed at any x in [lo, hi].
+
+    The corner value m @ c + |m| @ r + v is the exact maximum; the pad,
+    four times the rounding bound of one (d + 2)-term sum, covers the
+    rounding of the corner value itself (c, r and two products) and that of
+    the oracle's ``m[i] @ x + v[i]``.
+    """
+    center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    value = m @ center + np.abs(m) @ radius + v
+    return value + 4.0 * _rounding_slack(m.shape[1], np.abs(m) @ _magnitude(lo, hi) + np.abs(v))
+
+
 def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
                         max_patterns=200_000, clip=(0.0, 1.0)) -> OracleResult:
     """Exact worst-case margin max over the box of max_{i != y} (o_i - o_y).
 
     Enumerates activation patterns of unstable ReLUs; per pattern solves one
     LP per wrong class (or the corner formula when the pattern imposes no
-    constraints).  Returns Unknown when the instance exceeds the budgets.
+    constraints).  Returns Unknown when the instance exceeds the budgets or
+    an LP fails; ``n_patterns`` counts every enumerated pattern.
+
+    Two numpy tests run before a pattern's LPs and only skip LPs whose
+    answer could not change the result, so the margin is bit-identical to
+    solving every LP:
+
+    - *Empty patterns.*  ``_tighten_box`` tightens the input box against the
+      pattern's halfspaces, every row and bound relaxed by ten times HiGHS's
+      feasibility tolerance.  If the box empties, no point is feasible even
+      within the solver's tolerance: HiGHS would report status 2 on the
+      first class, which ends the pattern, so the pattern ends here.
+    - *Dominated classes.*  The relaxed box still holds every point the
+      solver may return, rows and bounds broken by up to its tolerance
+      included (the widening adds ``|m|_1`` times the margin to the corner
+      bound).  When ``_corner_bounds`` over it, rounding pad included, lies
+      below the best margin so far, the LP's value cannot raise the
+      maximum, and it is skipped.  The tightened box gives fewer LPs than
+      the input box (222 against 294 on the certify benchmark's pool).
+
+    The LPs that do run get the same rows, right-hand sides, bounds and
+    objective in the same order, and the result is a maximum, so margins,
+    statuses and counts match plain enumeration as long as HiGHS's
+    infeasibility verdict on a pattern does not depend on the objective.
     """
     x = np.asarray(x, dtype=np.float64)
     elided = elide_final_layer(net, y)
@@ -112,10 +195,10 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
 
     best = -np.inf
     patterns = 0
-    budget_hit = False
+    stop = ""  # why the enumeration gave up, if it did
 
     def solve_leaf(m, v, constraints):
-        nonlocal best
+        nonlocal best, stop
         rows = [i for i in range(elided.num_classes) if i != y]
         if not constraints:
             vals = m[rows] @ center + np.abs(m[rows]) @ radius + v[rows]
@@ -123,23 +206,29 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
             return
         a_ub = -np.stack([w for w, _ in constraints])
         b_ub = np.array([c for _, c in constraints])
-        for i in rows:
+        tight = _tighten_box(a_ub, b_ub, lo0, hi0)
+        if tight is None:  # empty pattern
+            return
+        for i, cap in zip(rows, _corner_bounds(m[rows], v[rows], *tight)):
+            if cap < best:  # dominated class
+                continue
             res = linprog(-m[i], A_ub=a_ub, b_ub=b_ub,
                           bounds=list(zip(lo0, hi0)), method="highs")
             if res.status == 2:  # infeasible pattern
                 return
             if res.status != 0:
-                raise RuntimeError(f"LP solver failure: status {res.status}")
+                stop = f"LP solver status {res.status}"
+                return
             best = max(best, float(m[i] @ res.x + v[i]))
 
     def walk(layer_idx, m, v, constraints):
-        nonlocal patterns, budget_hit
-        if budget_hit:
+        nonlocal patterns, stop
+        if stop:
             return
         if layer_idx == len(elided.layers):
             patterns += 1
             if patterns > max_patterns:
-                budget_hit = True
+                stop = f"pattern count exceeded {max_patterns}"
                 return
             solve_leaf(m, v, constraints)
             return
@@ -154,7 +243,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
             branch_idx = np.nonzero(g_unstable & ~fixed_active & ~fixed_dead)[0]
 
             def expand(k, mask_rows, constr):
-                if budget_hit:
+                if stop:
                     return
                 if k == len(branch_idx):
                     walk(layer_idx + 1, m * mask_rows[:, None], v * mask_rows, constr)
@@ -176,9 +265,8 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
             walk(layer_idx + 1, w @ m, w @ v + b, constraints)
 
     walk(0, np.eye(d), np.zeros(d), [])
-    if budget_hit:
-        return OracleResult("unknown", None, unstable_count, patterns,
-                            f"pattern count exceeded {max_patterns}")
+    if stop:
+        return OracleResult("unknown", None, unstable_count, patterns, stop)
     return OracleResult("exact", best, unstable_count, patterns)
 
 

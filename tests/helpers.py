@@ -1,4 +1,5 @@
-"""Shared builders for randomized test networks, and a sequential PGD reference."""
+"""Shared builders for randomized test networks, a sequential PGD reference and
+the plain-enumeration margin oracle."""
 
 import numpy as np
 
@@ -95,3 +96,91 @@ def reference_pgd(net, lo, hi, labels, targets, steps, restarts, rng, start=0):
                 if step < steps:
                     x = np.clip(x + eta[i] * np.sign(g), lo[i], hi[i])
     return best_x
+
+
+def reference_oracle(net, x, y, eps, budget_unstable=20, max_patterns=200_000, clip=(0.0, 1.0)):
+    """The exact margin oracle as plain enumeration: the same walk as
+    ``verify.exact_margin_oracle``, one LP per pattern and class with no
+    pruning.  LPs go through ``verify.linprog``, so a test that patches it
+    sees the reference's calls too."""
+    from certitrain import verify
+    from certitrain.interval import BoxBounds, box_from_ball, propagate_box
+    from certitrain.net import elide_final_layer
+
+    x = np.asarray(x, dtype=np.float64)
+    elided = elide_final_layer(net, y)
+    box = box_from_ball(x, eps, clip)
+    lo0, hi0 = box.lo.reshape(-1), box.hi.reshape(-1)
+    center, radius = 0.5 * (lo0 + hi0), 0.5 * (hi0 - lo0)
+    collected = []
+    propagate_box(elided, BoxBounds(box.lo[None], box.hi[None]), collect=collected)
+    global_state = {}
+    for (_, pre), (idx, _) in zip(collected, collected[1:]):
+        if isinstance(elided.layers[idx], ReLU):
+            active, dead = pre.lo.ravel() >= 0.0, pre.hi.ravel() <= 0.0
+            global_state[idx] = (active, dead, ~(active | dead))
+    unstable_count = sum(int(u.sum()) for _, _, u in global_state.values())
+    if unstable_count > budget_unstable:
+        return verify.OracleResult("unknown", None, unstable_count, 0,
+                                   f"{unstable_count} unstable ReLUs exceed budget {budget_unstable}")
+    ops = [layer.affine_operator(elided.shape_after(i)) for i, layer in enumerate(elided.layers)]
+    best, patterns, stop = -np.inf, 0, ""
+
+    def solve_leaf(m, v, constraints):
+        nonlocal best, stop
+        rows = [i for i in range(elided.num_classes) if i != y]
+        if not constraints:
+            best = max(best, float((m[rows] @ center + np.abs(m[rows]) @ radius + v[rows]).max()))
+            return
+        a_ub = -np.stack([w for w, _ in constraints])
+        b_ub = np.array([c for _, c in constraints])
+        for i in rows:
+            res = verify.linprog(-m[i], A_ub=a_ub, b_ub=b_ub,
+                                 bounds=list(zip(lo0, hi0)), method="highs")
+            if res.status == 2:
+                return
+            if res.status != 0:
+                stop = f"LP solver status {res.status}"
+                return
+            best = max(best, float(m[i] @ res.x + v[i]))
+
+    def walk(k, m, v, constraints):
+        nonlocal patterns, stop
+        if stop:
+            return
+        if k == len(elided.layers):
+            patterns += 1
+            if patterns > max_patterns:
+                stop = f"pattern count exceeded {max_patterns}"
+                return
+            solve_leaf(m, v, constraints)
+            return
+        if isinstance(elided.layers[k], ReLU):
+            g_active, g_dead, g_unstable = global_state[k]
+            c = m @ center + v
+            r = np.abs(m) @ radius
+            fixed_active = g_active | (g_unstable & (c - r >= 0.0))
+            fixed_dead = g_dead | (g_unstable & ~fixed_active & (c + r <= 0.0))
+            branch = np.nonzero(g_unstable & ~fixed_active & ~fixed_dead)[0]
+
+            def expand(q, mask, constr):
+                if q == len(branch):
+                    walk(k + 1, m * mask[:, None], v * mask, constr)
+                    return
+                j = branch[q]
+                expand(q + 1, mask, constr + [(m[j], v[j])])
+                dead = mask.copy()
+                dead[j] = 0.0
+                expand(q + 1, dead, constr + [(-m[j], -v[j])])
+
+            expand(0, (~fixed_dead).astype(np.float64), constraints)
+        elif ops[k] is None:
+            walk(k + 1, m, v, constraints)
+        else:
+            w, b = ops[k]
+            walk(k + 1, w @ m, w @ v + b, constraints)
+
+    walk(0, np.eye(lo0.size), np.zeros(lo0.size), [])
+    if stop:
+        return verify.OracleResult("unknown", None, unstable_count, patterns, stop)
+    return verify.OracleResult("exact", best, unstable_count, patterns)

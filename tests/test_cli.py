@@ -247,6 +247,36 @@ def test_certify_with_oracle_coverage(tmp_path):
     assert summary["certified_accuracy"] >= summary["ibp_certified_accuracy"] - 1e-12
 
 
+def test_certify_writes_null_margin_on_solver_failure(tmp_path, monkeypatch):
+    import certitrain.verify as verify
+
+    class Failed:
+        status, x = 4, None
+
+    monkeypatch.setattr(verify, "linprog", lambda *a, **k: Failed())
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, init_params(build_architecture("mlp", (2,), 2, 1, hidden=(8, 8)), 0))
+    cfg = config_from_dict(fast_overrides(tmp_path, test_subset=6, epsilon=0.5))
+    summary = cmd_certify(cfg, str(ckpt), methods=("ibp", "oracle"))
+    verdicts = [json.loads(l) for l in open(summary["verdicts"])]
+    assert len(verdicts) == 6 and all(v["exact_margin"] is None for v in verdicts)
+    assert summary["oracle_coverage"] == 0.0
+
+
+def test_tightness_exits_2_when_oracle_resolves_nothing(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(build_architecture("mlp", (2,), 2, 1, hidden=(8, 8)), 0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": "moons", "test_subset": 5, "epsilon": 0.3,
+                                  "oracle_budget": 0}))
+    rc = main(["tightness", "--checkpoint", str(path), "--config", str(config),
+               "--methods", "ibp", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: exact oracle resolved no samples")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_certify_architecture_mismatch(tmp_path):
     cfg = config_from_dict(fast_overrides(tmp_path))
     result = cmd_train(cfg)

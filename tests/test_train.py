@@ -228,6 +228,25 @@ def test_nonfinite_loss_aborts():
     state = RunState(net=net.with_params(huge), optimizer=make_optimizer("sgd"),
                      rng_attack=np.random.default_rng(0))
     config = moons_config("ibp", classifier_relus=0)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"^non-finite loss nan at epoch 0 step 0; "
+                                           r"first non-finite gradient: layer 0 \(Affine\) weight$"):
         with np.errstate(over="ignore", invalid="ignore"):
+            train_step((ds.images[:8], ds.labels[:8]), state, config, steps_per_epoch=5)
+
+
+def test_nonfinite_gradient_names_first_parameter(monkeypatch):
+    import certitrain.train as train
+
+    ds = synthetic_moons(40, seed=15)
+    net = build_architecture("mlp", (2,), 2, 0, hidden=(8,))
+    grads = [np.zeros_like(a) for a in net.param_arrays()]
+    grads[2][1, 3] = np.inf   # layers: Affine 0, ReLU 1, Affine 2 (weight, then bias)
+    grads[3][0] = np.nan
+    monkeypatch.setattr(train, "_bound_loss_grads", lambda *a, **k: (grads, 0.5, 0.5))
+    state = RunState(net=net, optimizer=make_optimizer("sgd"), rng_attack=np.random.default_rng(0),
+                     epoch=2, step=7)
+    config = moons_config("ibp", classifier_relus=0)
+    with pytest.raises(NumericError, match=r"^non-finite gradient norm at epoch 2 step 7; "
+                                           r"first non-finite gradient: layer 2 \(Affine\) weight$"):
+        with np.errstate(invalid="ignore"):
             train_step((ds.images[:8], ds.labels[:8]), state, config, steps_per_epoch=5)

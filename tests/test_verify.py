@@ -19,7 +19,7 @@ from certitrain.verify import (
     verdict_json_line,
 )
 
-from helpers import random_cnn, random_mlp
+from helpers import random_cnn, random_mlp, reference_oracle
 
 
 def test_certify_eps_zero_correct_sample():
@@ -81,6 +81,143 @@ def test_oracle_respects_budget():
     assert res.status == "unknown"
     assert res.margin is None
     assert "budget" in res.reason
+
+
+def test_oracle_solver_failure_returns_unknown(monkeypatch):
+    from certitrain import verify as V
+
+    class Failed:
+        status, x = 4, None
+
+    monkeypatch.setattr(V, "linprog", lambda *a, **k: Failed())
+    layers = [Affine(np.array([[1.0], [-1.0]]), np.zeros(2)), ReLU(),
+              Affine(np.array([[0.0, 0.0], [0.4, 0.6]]), np.zeros(2))]
+    net = Network(layers, len(layers), 2, (1,))
+    res = exact_margin_oracle(net, np.array([0.0]), 0, 1.0, clip=None)
+    assert res == V.OracleResult("unknown", None, 2, 1, reason="LP solver status 4")
+
+
+def _oracle_instance(rng):
+    """A random oracle instance: an mlp on 2, 3 or 8 inputs or a cnn on a
+    1x4x4 input, with 2-4 classes."""
+    kind = int(rng.integers(4))
+    classes = int(rng.integers(2, 5))
+    scale = float(rng.uniform(1.0, 2.0))
+    eps = float(rng.uniform(0.02, 0.06))
+    if kind < 3:
+        d = (2, 3, 8)[kind]
+        net = random_mlp(rng, [d, int(rng.integers(2, 6)), int(rng.integers(2, 5)), classes],
+                         scale=scale)
+        x = rng.uniform(0.1, 0.9, size=d)
+    else:
+        net = random_cnn(rng, (1, 4, 4), channels=(1,), fc=3, num_classes=classes, scale=scale)
+        x = rng.uniform(0.1, 0.9, size=(1, 4, 4))
+    return net, x, int(rng.integers(classes)), eps
+
+
+def _instances_with_unstable_relus(seed, count):
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        net, x, y, eps = _oracle_instance(rng)
+        ref = reference_oracle(net, x, y, eps, budget_unstable=12)
+        if ref.n_unstable:
+            found.append((net, x, y, eps, ref))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_oracle_matches_plain_enumeration_bitwise(seed):
+    """Status, margin (repr: bit for bit), n_unstable, n_patterns and reason
+    equal the plain enumeration's on 100 instances per seed."""
+    for net, x, y, eps, ref in _instances_with_unstable_relus(500 + seed, 100):
+        assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12)) == repr(ref)
+
+
+def _spy_linprog(monkeypatch, on_result):
+    from certitrain import verify as V
+
+    real = V.linprog
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        on_result(kwargs, res)
+        return res
+
+    monkeypatch.setattr(V, "linprog", spy)
+
+
+def _tangent_net():
+    """Pattern (active, active) needs x >= 0.5 and x <= 0.5 - 1e-8: empty, but
+    by less than HiGHS's feasibility tolerance, so the solver accepts x = 0.5."""
+    layers = [Affine(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5 - 1e-8])), ReLU(),
+              Affine(np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros(2))]
+    return Network(layers, len(layers), 2, (1,)), np.array([0.5]), 0, 0.5
+
+
+def test_tightening_rejects_only_patterns_the_solver_finds_infeasible(monkeypatch):
+    """Each pattern the bound tightening rejects got status 2 on the first LP
+    plain enumeration solves for it."""
+    from certitrain import verify as V
+
+    first_status = {}
+
+    def key(a_ub, b_ub):
+        return a_ub.tobytes(), b_ub.tobytes()
+
+    _spy_linprog(monkeypatch, lambda kw, res: first_status.setdefault(
+        key(kw["A_ub"], kw["b_ub"]), res.status))
+    instances = [inst[:4] for inst in _instances_with_unstable_relus(7, 30)] + [_tangent_net()]
+    for inst in instances:
+        reference_oracle(*inst, budget_unstable=12)
+    rejected = []
+    real = V._tighten_box
+
+    def tighten(a_ub, b_ub, lo, hi):
+        box = real(a_ub, b_ub, lo, hi)
+        if box is None:
+            rejected.append(key(a_ub, b_ub))
+        return box
+
+    monkeypatch.setattr(V, "_tighten_box", tighten)
+    for inst in instances:
+        exact_margin_oracle(*inst, budget_unstable=12)
+    assert len(rejected) >= 20
+    assert [first_status[k] for k in rejected] == [2] * len(rejected)
+
+
+def test_pruned_oracle_solves_fewer_lps(monkeypatch):
+    calls = []
+    _spy_linprog(monkeypatch, lambda kw, res: calls.append(res.status))
+    rng = np.random.default_rng(46)
+    net = random_mlp(rng, [3, 6, 5, 3], scale=1.8)
+    x, y, eps = rng.uniform(0.1, 0.9, size=3), 1, 0.06
+    ref = reference_oracle(net, x, y, eps, budget_unstable=12)
+    plain = len(calls)
+    assert ref.n_unstable >= 4 and plain >= 20 and 2 in calls
+    calls.clear()
+    assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12)) == repr(ref)
+    assert len(calls) < plain
+
+
+def test_prune_bounds_cap_the_oracle_value_at_every_solver_point():
+    """The corner bound caps the oracle's float64 ``m @ x + v`` at the box's
+    maximising corner, and the tightened box keeps points that break the
+    box by HiGHS's tolerance."""
+    from certitrain import verify as V
+
+    rng = np.random.default_rng(4)
+    for d in (2, 8, 64, 784):
+        for _ in range(20):
+            m, v = rng.normal(size=(4, d)), rng.normal(size=4)
+            lo = rng.uniform(-1.0, 0.5, size=d)
+            hi = lo + rng.uniform(0.0, 0.5, size=d)
+            widened = V._tighten_box(np.zeros((1, d)), np.ones(1), lo, hi)  # no row binds
+            for box, out in (((lo, hi), 0.0), (widened, 1e-7)):
+                cap = V._corner_bounds(m, v, *box)
+                for i in range(4):
+                    corner = np.where(m[i] > 0.0, hi + out, lo - out)
+                    assert float(m[i] @ corner + v[i]) <= cap[i]
 
 
 def sample_margins(net, x, y, eps, n, seed):
