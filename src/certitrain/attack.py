@@ -22,6 +22,7 @@ __all__ = [
     "pgd_latent",
     "sabr_select_region",
     "margin_targets",
+    "ce_rows",
 ]
 
 
@@ -36,7 +37,8 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
-            raise ValueError("steps and restarts must be >= 1")
+            raise ValueError(f"steps and restarts must be >= 1, got steps={self.steps}, "
+                             f"restarts={self.restarts}")
         if self.step_size != "auto" and float(self.step_size) <= 0:
             raise ValueError("step_size must be positive")
 
@@ -46,17 +48,21 @@ class AttackConfig:
         return float(self.step_size)
 
 
+def ce_rows(logits, labels):
+    """(cross-entropy lse(o) - o_y, lse(o)) per row of (B, K) logits."""
+    m = logits.max(axis=1)
+    lse = np.log(np.exp(logits - m[:, None]).sum(axis=1)) + m
+    return lse - logits[np.arange(logits.shape[0]), labels], lse
+
+
 def _ce_objective(labels):
-    """Per-row cross-entropy ln(1 + sum_{i!=y} e^{o_i - o_y}) = lse(o) - o_y."""
+    """Per-row cross-entropy and its logit gradient softmax(o) - e_y."""
     labels = np.asarray(labels, dtype=np.intp)
 
     def seed(logits):
-        rows = np.arange(logits.shape[0])
-        m = logits.max(axis=1)
-        lse = np.log(np.exp(logits - m[:, None]).sum(axis=1)) + m
-        vals = lse - logits[rows, labels]
+        vals, lse = ce_rows(logits, labels)
         g = np.exp(logits - lse[:, None])
-        g[rows, labels] -= 1.0
+        g[np.arange(logits.shape[0]), labels] -= 1.0
         return vals, g
 
     return seed
@@ -197,18 +203,17 @@ def margin_targets(num_classes, y):
     return grid[keep].reshape(y.size, k - 1)
 
 
-def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True,
-               targets=None, rng=None):
+def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, rng=None):
     """Latent attacks over the classifier within an embedding-space box.
 
     ``box`` holds batched bounds on the extractor output, (B, ...latent).
-    Multi mode maximizes each logit difference (target minus label) with a
-    separate point; it returns (points (B, T, ...latent), targets (B, T)).
-    Single mode maximizes one cross-entropy objective and returns (B,
-    ...latent).  Every returned point lies inside the box; degenerate
-    coordinates (lo == hi) stay frozen at the bound.  All restarts and (in
-    multi mode) all targets run as one batched ascent; the box is broadcast
-    over both axes, not copied.  ``rng`` is one generator, which draws as R
+    Multi mode maximizes the logit difference of every wrong class (target
+    minus label) with a separate point; it returns (points (B, T, ...latent),
+    targets (B, T)).  Single mode maximizes one cross-entropy objective and
+    returns (B, ...latent).  Every returned point lies inside the box;
+    degenerate coordinates (lo == hi) stay frozen at the bound.  All restarts
+    and (in multi mode) all targets run as one batched ascent; the box is
+    broadcast over both axes, not copied.  ``rng`` is one generator, which draws as R
     sequential restarts over the (B * T) rows would, or one per sample.
     """
     if net.split_index >= len(net.layers):
@@ -220,9 +225,7 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True,
     if not multi:
         return _ascend(net, start, lo, hi, y, None, cfg, rng)
 
-    if targets is None:
-        targets = margin_targets(net.num_classes, y)
-    targets = np.asarray(targets, dtype=np.intp)
+    targets = margin_targets(net.num_classes, y)
     b, t = targets.shape
     per_target = lambda a: np.broadcast_to(a[:, None], (b, t) + a.shape[1:])
     best = _ascend(net, start, per_target(lo), per_target(hi),

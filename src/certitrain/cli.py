@@ -1,22 +1,30 @@
 """Command-line entry points: train, certify, tightness, ablate.
 
-Configuration is a flat JSON document; every field can be overridden by a
-``--key value`` flag.  Presets carry the reproducible recipes (per-dataset
-epsilon and the loss-family hyperparameters) on desk-scale schedules.
+:class:`Config` defines every setting.  Each field is a ``--config`` JSON
+key and a flag (``--`` plus the name with ``-`` for ``_``: ``--hidden
+64,64``, ``--oracle-budget 14``; ``--no-record-time`` for the boolean), and
+flag strings, JSON values and ``ablate --values`` are read by the field's
+type.  Flags override ``--config``, which overrides ``--preset``.
+:meth:`Config.validate` builds the library objects the settings describe, so
+their range checks run before any work starts.  Presets carry the
+reproducible recipes on desk-scale schedules.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error
+(a missing file, or a corrupt checkpoint or IDX file).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
-import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from .connector import ConnectorParams
 from .data import (
     DATA_ENV_VAR,
     Dataset,
+    IdxError,
     load_mnist_idx,
     resolve_data_dir,
     synthetic_digits,
@@ -62,6 +71,7 @@ LOSS_NAMES = {
     "sabr": "sabr",
     "staps": "staps",
 }
+DATASETS = ("synthetic-digits", "moons", "mnist")
 
 
 @dataclass
@@ -73,7 +83,7 @@ class Config:
     test_subset: int = 1000
     # model
     arch: str = "mlp"
-    hidden: tuple = (128, 128)
+    hidden: tuple[int, ...] = (128, 128)
     classifier_relus: int = 1
     init: str = "ibp_stable"
     # loss
@@ -111,61 +121,52 @@ class Config:
     record_time: bool = True
 
     def validate(self):
+        """Coerce each field to its type and build the library objects the
+        settings describe; raises ConfigError."""
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _coerce(f.name, getattr(self, f.name)))
         if self.loss not in LOSS_NAMES:
             raise ConfigError(f"loss: unknown value {self.loss!r} (choose from {sorted(LOSS_NAMES)})")
         if self.loss in ("sabr", "staps"):
             if self.tau_ratio is None:
                 raise ConfigError(f"loss {self.loss!r} requires --tau-ratio")
-            if not 0 < self.tau_ratio <= 1:
-                raise ConfigError("tau_ratio: must lie in (0, 1]")
         elif self.tau_ratio is not None:
             raise ConfigError(f"tau_ratio conflicts with loss {self.loss!r} (sabr/staps only)")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon: must be nonnegative")
-        if not 0 <= self.connector_c <= 1:
-            raise ConfigError("connector_c: must lie in [0, 1]")
-        if self.w_taps < 0:
-            raise ConfigError("w_taps: must be >= 0 (use 'inf' for the pure-attacked branch)")
-        if self.dataset not in ("synthetic-digits", "moons", "mnist"):
-            raise ConfigError(f"dataset: unknown value {self.dataset!r}")
+        if self.dataset not in DATASETS:
+            raise ConfigError(f"dataset: unknown value {self.dataset!r} (choose from {DATASETS})")
         if self.jobs < 1:
             raise ConfigError("jobs: must be >= 1")
-        try:
-            self.schedule()
-        except ValueError as e:
-            raise ConfigError(f"schedule: {e}") from None
+        for part, build in (("training", self.train_config), ("evaluation attack", self.eval_attack)):
+            try:
+                build()
+            except ValueError as e:
+                raise ConfigError(f"{part}: {e}") from None
         return self
-
-    def schedule(self) -> Schedule:
-        return Schedule(
-            total_epochs=self.total_epochs,
-            annealing_epochs=self.annealing_epochs,
-            warmup_epochs=self.warmup_epochs,
-            decay_epochs=(self.decay1, self.decay2),
-            decay_factor=self.decay_factor,
-            lr0=self.lr0,
-            grad_clip=self.grad_clip,
-            batch_size=self.batch_size,
-            eps_target=self.epsilon,
-            ramp=self.ramp,
-        )
-
-    def loss_kind(self) -> LossKind:
-        return LossKind(
-            tag=LOSS_NAMES[self.loss],
-            w_taps=self.w_taps,
-            connector=ConnectorParams(c=self.connector_c),
-            attack=AttackConfig(steps=self.attack_steps, restarts=self.attack_restarts,
-                                seed=self.seed),
-            tau_ratio=self.tau_ratio,
-        )
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
-            loss=self.loss_kind(),
-            schedule=self.schedule(),
+            loss=LossKind(
+                tag=LOSS_NAMES[self.loss],
+                w_taps=self.w_taps,
+                connector=ConnectorParams(c=self.connector_c),
+                attack=AttackConfig(steps=self.attack_steps, restarts=self.attack_restarts,
+                                    seed=self.seed),
+                tau_ratio=self.tau_ratio,
+            ),
+            schedule=Schedule(
+                total_epochs=self.total_epochs,
+                annealing_epochs=self.annealing_epochs,
+                warmup_epochs=self.warmup_epochs,
+                decay_epochs=(self.decay1, self.decay2),
+                decay_factor=self.decay_factor,
+                lr0=self.lr0,
+                grad_clip=self.grad_clip,
+                batch_size=self.batch_size,
+                eps_target=self.epsilon,
+                ramp=self.ramp,
+            ),
             arch=self.arch,
-            hidden=tuple(self.hidden),
+            hidden=self.hidden,
             classifier_relus=self.classifier_relus,
             init=self.init,
             optimizer=self.optimizer,
@@ -182,27 +183,41 @@ class Config:
                             seed=self.seed + 2)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(Config)}
+_FIELD_TYPES = typing.get_type_hints(Config)
+# the values a field of each type keeps as they are (but no bool as a number)
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool}
+
+
+def _coerce(name, value, kind=None):
+    """``value`` (a flag string, a JSON value or a sweep value) as the type of
+    Config field ``name``: numbers are parsed from strings (``inf`` too), an
+    int stays an int in a float field, a tuple takes a comma list or a list."""
+    kind = kind or _FIELD_TYPES[name]
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _coerce(name, value, args[0])
+    if typing.get_origin(kind) is tuple and isinstance(value, (str, list, tuple)):
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(_coerce(name, v, args[0]) for v in items)
+    if isinstance(value, str) and kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(value)
+    elif isinstance(value, _ACCEPTS.get(kind, ())) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> Config:
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - _FIELD_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = Config(**data)
-    if isinstance(cfg.hidden, list):
-        cfg.hidden = tuple(cfg.hidden)
-    if isinstance(cfg.w_taps, str):
-        cfg.w_taps = float(cfg.w_taps)
-    return cfg.validate()
+    return Config(**data).validate()
 
 
 # Recipes mirroring the published per-dataset settings (eps, loss family,
 # w, connector c, tau/eps ratio, L1) on a desk-scale schedule.
 def _preset(loss, eps, **kw):
-    base = dict(loss=loss, epsilon=eps)
-    base.update(kw)
-    return base
+    return dict(loss=loss, epsilon=eps, **kw)
 
 
 PRESETS = {
@@ -230,8 +245,7 @@ def load_dataset(config: Config, split="train") -> Dataset:
         return synthetic_moons(n, noise=0.08, seed=seed)
     if config.dataset == "synthetic-digits":
         if split == "train":
-            n = config.subset or 10_000
-            return synthetic_digits(max(n, config.subset or 0) + 2000, seed=config.seed + 7)
+            return synthetic_digits((config.subset or 10_000) + 2000, seed=config.seed + 7)
         return synthetic_digits(config.test_subset, seed=config.seed + 31_337)
     root = resolve_data_dir(config.data)
     if not root:
@@ -456,25 +470,21 @@ def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bi
 # ablate
 # ---------------------------------------------------------------------------
 
-SWEEPS = ("split", "connector_c", "w_taps", "attack_steps", "estimator")
+# sweep name -> the Config field its values set; "split" 0 (a zero-ReLU
+# classifier) degenerates the taps pipeline to plain ibp
+SWEEPS = {"split": "classifier_relus", "connector_c": "connector_c", "w_taps": "w_taps",
+          "attack_steps": "attack_steps", "estimator": "loss"}
+ESTIMATOR_LOSSES = {"single": "taps-single", "multi": "taps"}
 
 
 def _sweep_config(config: Config, sweep, value) -> Config:
-    cfg = dataclasses.replace(config)
-    if sweep == "split":
-        # a zero-ReLU classifier degenerates the taps pipeline to plain ibp
-        cfg.classifier_relus = int(value)
-    elif sweep == "connector_c":
-        cfg.connector_c = float(value)
-    elif sweep == "w_taps":
-        cfg.w_taps = math.inf if value in ("inf", math.inf) else float(value)
-    elif sweep == "attack_steps":
-        cfg.attack_steps = int(value)
-    elif sweep == "estimator":
-        cfg.loss = {"single": "taps-single", "multi": "taps"}[value]
-    else:
-        raise ConfigError(f"unknown sweep {sweep!r} (choose from {SWEEPS})")
-    return cfg.validate()
+    if sweep not in SWEEPS:
+        raise ConfigError(f"unknown sweep {sweep!r} (choose from {tuple(SWEEPS)})")
+    if sweep == "estimator":
+        if value not in ESTIMATOR_LOSSES:
+            raise ConfigError(f"estimator: unknown value {value!r} (choose from single, multi)")
+        value = ESTIMATOR_LOSSES[value]
+    return dataclasses.replace(config, **{SWEEPS[sweep]: value}).validate()
 
 
 def cmd_ablate(config: Config, sweep, values) -> str:
@@ -508,57 +518,38 @@ def cmd_ablate(config: Config, sweep, values) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(p):
+def _config_flags() -> argparse.ArgumentParser:
+    """Parent parser of --config, --preset and one flag per Config field:
+    --name-with-dashes VALUE, or --no-name for a boolean field."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", choices=sorted(PRESETS), help="named recipe")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--subset", type=int)
-    p.add_argument("--out")
-    p.add_argument("--data", help=f"dataset root (or ${DATA_ENV_VAR})")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--dataset", choices=("synthetic-digits", "moons", "mnist"))
-    p.add_argument("--loss", choices=sorted(LOSS_NAMES))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--w-taps", dest="w_taps",
-                   type=lambda s: math.inf if s == "inf" else float(s))
-    p.add_argument("--connector-c", dest="connector_c", type=float)
-    p.add_argument("--classifier-relus", dest="classifier_relus", type=int)
-    p.add_argument("--tau-ratio", dest="tau_ratio", type=float)
-    p.add_argument("--attack-steps", dest="attack_steps", type=int)
-    p.add_argument("--attack-restarts", dest="attack_restarts", type=int)
-    p.add_argument("--arch", choices=("mlp", "cnn3", "cnn7"))
-    p.add_argument("--total-epochs", dest="total_epochs", type=int)
-    p.add_argument("--annealing-epochs", dest="annealing_epochs", type=int)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--decay1", type=int)
-    p.add_argument("--decay2", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--l1", type=float)
-    p.add_argument("--test-subset", dest="test_subset", type=int)
-    p.add_argument("--no-record-time", dest="record_time", action="store_false",
-                   default=None)
+    for f in dataclasses.fields(Config):
+        flag = f.name.replace("_", "-")
+        if _FIELD_TYPES[f.name] is bool:
+            p.add_argument(f"--no-{flag}", dest=f.name, action="store_false", default=None)
+        else:
+            default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+            p.add_argument(f"--{flag}", dest=f.name, help=f"default: {default}")
+    return p
 
 
 def build_config(args) -> Config:
-    data = {}
+    """Preset, then --config JSON, then flags, each overriding the one before."""
+    data = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data.update(json.load(fh))
+                loaded = json.load(fh)
         except OSError as e:
             raise IOError(f"cannot read config: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
-    if args.preset:
-        preset = dict(PRESETS[args.preset])
-        preset.update(data)
-        data = preset
-    for name in _FIELD_NAMES:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
+        if not isinstance(loaded, dict):
+            raise ConfigError("config must be a JSON object")
+        data.update(loaded)
+    data.update({name: getattr(args, name) for name in _FIELD_TYPES
+                 if getattr(args, name) is not None})
     return config_from_dict(data)
 
 
@@ -567,25 +558,24 @@ def main(argv=None) -> int:
                                      description="certified training toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a model per config/preset")
-    _add_config_flags(p_train)
+    flags = [_config_flags()]
+    sub.add_parser("train", parents=flags, help="train a model per config/preset")
 
-    p_cert = sub.add_parser("certify", help="evaluate a checkpoint")
-    _add_config_flags(p_cert)
+    p_cert = sub.add_parser("certify", parents=flags, help="evaluate a checkpoint")
     p_cert.add_argument("--checkpoint", required=True)
     p_cert.add_argument("--methods", default="ibp,pgd",
                         help="comma list from {ibp,pgd,oracle}; ibp always runs, pgd adds "
                              "the attack, oracle the exact margin oracle")
 
-    p_tight = sub.add_parser("tightness", help="margin-error histograms vs exact oracle")
-    _add_config_flags(p_tight)
+    p_tight = sub.add_parser("tightness", parents=flags,
+                             help="margin-error histograms vs exact oracle")
     p_tight.add_argument("--checkpoint", required=True)
     p_tight.add_argument("--methods", default="ibp,pgd,sabr,taps",
                          help="comma list from {ibp,pgd,sabr,taps}")
     p_tight.add_argument("--bins", type=int, default=40)
 
-    p_abl = sub.add_parser("ablate", help="train/evaluate across a hyperparameter sweep")
-    _add_config_flags(p_abl)
+    p_abl = sub.add_parser("ablate", parents=flags,
+                           help="train/evaluate across a hyperparameter sweep")
     p_abl.add_argument("--sweep", required=True, choices=SWEEPS)
     p_abl.add_argument("--values", required=True,
                        help="comma-separated sweep values")
@@ -608,7 +598,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (IOError, OSError, CheckpointError) as e:
+    except (OSError, CheckpointError, IdxError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
     return 0

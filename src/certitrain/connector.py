@@ -20,17 +20,17 @@ from . import tensor as T
 
 __all__ = ["ConnectorParams", "connector_partials", "connector_node"]
 
+# With c = 0, a coordinate within this distance of a bound counts as on it.
+TOLERANCE_EQ = 1e-9
+
 
 @dataclass(frozen=True)
 class ConnectorParams:
     c: float = 0.5
-    tolerance_eq: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"connector c must lie in [0, 1], got {self.c}")
-        if self.tolerance_eq < 0:
-            raise ValueError("tolerance_eq must be nonnegative")
 
 
 def connector_partials(lo, hi, z_hat, params: ConnectorParams):
@@ -49,9 +49,8 @@ def connector_partials(lo, hi, z_hat, params: ConnectorParams):
     width = hi - lo
     degenerate = width <= 0.0
     if params.c == 0.0:
-        tol = params.tolerance_eq
-        d_lo = ((z_hat - lo) <= tol).astype(np.float64)
-        d_hi = ((hi - z_hat) <= tol).astype(np.float64)
+        d_lo = ((z_hat - lo) <= TOLERANCE_EQ).astype(np.float64)
+        d_hi = ((hi - z_hat) <= TOLERANCE_EQ).astype(np.float64)
     else:
         # normalize by the width before dividing by c so subnormal widths
         # cannot underflow the band to zero

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "IdxError",
     "load_mnist_idx",
     "write_idx_images",
     "write_idx_labels",
@@ -66,6 +67,10 @@ class Dataset:
 # IDX container
 # ---------------------------------------------------------------------------
 
+class IdxError(ValueError):
+    """A corrupt IDX file; the message starts with the file's path."""
+
+
 def _open_maybe_gzip(path):
     with open(path, "rb") as fh:
         prefix = fh.read(2)
@@ -78,21 +83,21 @@ def _read_idx(path, expected_magic, what):
     with _open_maybe_gzip(path) as fh:
         header = fh.read(4)
         if len(header) != 4:
-            raise ValueError(f"{path}: truncated {what} file")
+            raise IdxError(f"{path}: truncated {what} file")
         (magic,) = struct.unpack(">i", header)
         if magic != expected_magic:
-            raise ValueError(
+            raise IdxError(
                 f"{path}: expected {what} magic 0x{expected_magic:08x}, got 0x{magic:08x}"
             )
         ndim = magic & 0xFF
         dims_raw = fh.read(4 * ndim)
         if len(dims_raw) != 4 * ndim:
-            raise ValueError(f"{path}: truncated {what} dimension header")
+            raise IdxError(f"{path}: truncated {what} dimension header")
         dims = struct.unpack(f">{ndim}i", dims_raw)
         payload = fh.read()
     expected = int(np.prod(dims))
     if len(payload) < expected:
-        raise ValueError(f"{path}: truncated {what} payload ({len(payload)} < {expected})")
+        raise IdxError(f"{path}: truncated {what} payload ({len(payload)} < {expected})")
     data = np.frombuffer(payload[:expected], dtype=np.uint8).reshape(dims)
     return data
 
@@ -105,9 +110,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     images = _read_idx(images_path, IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, LABEL_MAGIC, "label")
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}"
-        )
+        raise IdxError(f"{labels_path}: label count {labels.shape[0]} != image count "
+                       f"{images.shape[0]} of {images_path}")
     n, h, w = images.shape
     return Dataset(
         images=(images.astype(np.float64) / 255.0).reshape(n, 1, h, w),

@@ -406,14 +406,17 @@ def build_architecture(name, input_shape, num_classes, classifier_relu_count, hi
 _STABLE_MEAN_ABS = 1.8
 
 
+INIT_MODES = ("ibp_stable", "kaiming")
+
+
 def init_params(net: Network, seed, mode="ibp_stable") -> Network:
     """Draw fresh parameters: zero-mean normal weights, zero biases.
 
     ``ibp_stable`` scales weights so interval radii stay roughly constant
     with depth; ``kaiming`` uses variance 2/fan_in.
     """
-    if mode not in ("ibp_stable", "kaiming"):
-        raise ValueError(f"unknown init mode {mode!r}")
+    if mode not in INIT_MODES:
+        raise ValueError(f"unknown init mode {mode!r} (expected one of {INIT_MODES})")
     rng = np.random.default_rng(seed)
     arrays = []
     for layer in net.layers:

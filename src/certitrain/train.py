@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attack import AttackConfig, pgd_input, pgd_latent, sabr_select_region
+from .attack import AttackConfig, ce_rows, pgd_input, pgd_latent, sabr_select_region
 from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
 from .interval import box_from_ball, elided_bounds, propagate_box
 from .loss import LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms, l1_penalty
-from .net import (Network, build_architecture, forward_batch, forward_on_tape, init_params, lift_params,
-                  param_grads)
+from .net import (ARCHITECTURES, INIT_MODES, Network, build_architecture, forward_batch,
+                  forward_on_tape, init_params, lift_params, param_grads)
 
 __all__ = [
     "Schedule",
@@ -73,6 +73,10 @@ class Schedule:
             raise ValueError("decay_factor must lie in (0, 1)")
         if self.ramp not in ("smooth", "linear"):
             raise ValueError(f"unknown ramp {self.ramp!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.eps_target >= 0:  # also rejects NaN
+            raise ValueError(f"eps_target must be >= 0, got {self.eps_target}")
 
 
 def epsilon_schedule(step, schedule: Schedule, steps_per_epoch) -> float:
@@ -139,12 +143,11 @@ class Adam:
         return out
 
 
+OPTIMIZERS = {"sgd": SGD, "adam": lambda momentum: Adam()}
+
+
 def make_optimizer(name, momentum=0.9):
-    if name == "sgd":
-        return SGD(momentum)
-    if name == "adam":
-        return Adam()
-    raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](momentum)  # TrainConfig checks the name
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,15 @@ class TrainConfig:
     val_attack: AttackConfig = field(default_factory=lambda: AttackConfig(steps=8, seed=0))
     record_time: bool = True  # switch off for byte-identical metrics CSVs
 
+    def __post_init__(self):
+        for what, name, names in (("architecture", self.arch, ARCHITECTURES),
+                                  ("init mode", self.init, INIT_MODES),
+                                  ("optimizer", self.optimizer, tuple(OPTIMIZERS))):
+            if name not in names:
+                raise ValueError(f"unknown {what} {name!r} (expected one of {names})")
+        if not all(w >= 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
+
 
 @dataclass
 class RunState:
@@ -186,13 +198,6 @@ class RunState:
 # ---------------------------------------------------------------------------
 # One optimization step
 # ---------------------------------------------------------------------------
-
-def _mean_ce_concrete(net, X, y):
-    logits = forward_batch(net, X)
-    m = logits.max(axis=1)
-    lse = np.log(np.exp(logits - m[:, None]).sum(axis=1)) + m
-    return float(np.mean(lse - logits[np.arange(len(y)), y]))
-
 
 def _bound_loss_grads(net, X, y, eps, *, region=None, reg_lambda=0.0, eps_frac=0.0,
                       clip=(0.0, 1.0)):
@@ -296,7 +301,7 @@ def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch,
     return {
         "epsilon": eps,
         "lr": lr,
-        "nat_loss": _mean_ce_concrete(state.net, X, y),
+        "nat_loss": float(np.mean(ce_rows(forward_batch(state.net, X), y)[0])),
         "ibp_loss": bound_value,
         "taps_loss": taps_value,
         "combined_loss": objective,

@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 from . import tensor as T
 from .attack import AttackConfig, pgd_input, pgd_latent, sabr_select_region
 from .interval import BoxBounds, box_from_ball, elided_bounds, ibp_bounds, propagate_box
-from .loss import paired_loss_terms
+from .loss import margin_loss, paired_loss_terms
 from .net import Network, ReLU, elide_final_layer, forward_batch, lift_params, param_grads
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 def certify_ibp(net: Network, x, y, eps, clip=(0.0, 1.0)):
     """(certified, upper logit-difference vector) for one sample."""
     hi = ibp_bounds(net, x, y, eps, clip=clip).hi
-    return margin_of_diffs(hi, y) < 0.0, hi
+    return margin_loss(hi, y) < 0.0, hi
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +568,8 @@ class _BranchAndBound:
 
     def margin_at(self, point):
         """Concrete margin at an input (clipped into the box)."""
-        point = np.clip(point, self.x_lo, self.x_hi).reshape((1,) + self.net.input_shape)
-        logits = forward_batch(self.net, point)[0]
-        return margin_of_diffs(logits - logits[self.y], self.y)
+        point = np.clip(point, self.x_lo, self.x_hi).reshape(self.net.input_shape)
+        return _margin_at(self.net, point, self.y)[0]
 
     def class_bound(self, cls, lp_budget, decide):
         """(sound upper bound on max (o_cls - o_y), status) within ``lp_budget`` LPs.
@@ -682,16 +681,11 @@ def margin_upper_bound(net: Network, x, y, eps, lp_budget=256) -> float:
 # Margin approximations per method
 # ---------------------------------------------------------------------------
 
-def margin_of_diffs(diffs, y):
-    others = np.delete(np.asarray(diffs, dtype=np.float64), y)
-    return float(others.max())
-
-
 def _margin_at(net: Network, point, y):
     """(margin, logit differences) at one input point, from a one-row forward."""
     logits = forward_batch(net, point[None])[0]
     diffs = logits - logits[y]
-    return margin_of_diffs(diffs, y), diffs
+    return margin_loss(diffs, y), diffs
 
 
 def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng=None, clip=(0.0, 1.0)):
@@ -714,7 +708,7 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
         hi = ibp_bounds(net, x, y, eps, clip=clip).hi
-        return margin_of_diffs(hi, y), hi
+        return margin_loss(hi, y), hi
     if method == "pgd":
         cfg = attack or AttackConfig(steps=50, restarts=3, seed=0)
         adv = pgd_input(net, x[None], np.asarray([y]), eps, cfg, rng=rng, clip=clip)[0]
@@ -724,7 +718,7 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau_ratio * eps,
                                     cfg, rng=rng, clip=clip)
         hi = elided_bounds(net, region, [y]).hi[0]
-        return margin_of_diffs(hi, y), hi
+        return margin_loss(hi, y), hi
     if method == "taps":
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
         latent_box = propagate_box(net, box_from_ball(x[None], eps, clip), stop=net.split_index)

@@ -1,5 +1,6 @@
 """CLI: config validation, presets, artifacts, and command round trips."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -12,6 +13,7 @@ from certitrain.cli import (
     Config,
     ConfigError,
     PRESETS,
+    _sweep_config,
     cmd_ablate,
     cmd_certify,
     cmd_tightness,
@@ -19,6 +21,7 @@ from certitrain.cli import (
     config_from_dict,
     main,
 )
+from certitrain.data import synthetic_digits, write_idx_images, write_idx_labels
 from certitrain.net import build_architecture, init_params
 
 from helpers import dyadic_mlp
@@ -62,6 +65,93 @@ def test_exit_code_on_config_error(capsys):
     rc = main(["train", "--loss", "sabr"])
     assert rc == 2
     assert "tau-ratio" in capsys.readouterr().err
+
+
+# each is a config that validation must reject before any training starts
+BAD_CONFIGS = [
+    {"attack_steps": 0},
+    {"arch": "foo"},
+    {"optimizer": "rmsprop"},
+    {"init": "xavier"},
+    {"batch_size": 0},
+    {"eval_attack_restarts": 0},
+    {"hidden": [0]},
+    {"momentum": "x"},
+    {"connector_c": 1.5},
+    {"w_taps": -1},
+    {"loss": "sabr", "tau_ratio": 1.5},
+    {"epsilon": -0.1},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_CONFIGS, ids=json.dumps)
+def test_bad_config_exits_2(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.setattr("certitrain.cli.cmd_train", lambda config: pytest.fail("trained"))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+
+def _parsed_config(monkeypatch, argv):
+    """The Config that ``main(["train", *argv])`` hands to cmd_train."""
+    seen = []
+    monkeypatch.setattr("certitrain.cli.cmd_train", seen.append)
+    assert main(["train", *argv]) == 0
+    return seen[0]
+
+
+# Config field -> (flag value text, the value it sets), each unlike the default
+FLAG_VALUES = {
+    "dataset": ("moons", "moons"), "data": ("d", "d"), "subset": ("7", 7),
+    "test_subset": ("9", 9), "arch": ("cnn3", "cnn3"), "hidden": ("64,32", (64, 32)),
+    "classifier_relus": ("2", 2), "init": ("kaiming", "kaiming"), "loss": ("sabr", "sabr"),
+    "epsilon": ("0.2", 0.2), "w_taps": ("inf", float("inf")), "connector_c": ("0.25", 0.25),
+    "tau_ratio": ("0.3", 0.3), "attack_steps": ("3", 3), "attack_restarts": ("2", 2),
+    "total_epochs": ("30", 30), "annealing_epochs": ("9", 9), "warmup_epochs": ("2", 2),
+    "decay1": ("16", 16), "decay2": ("25", 25), "decay_factor": ("0.5", 0.5),
+    "lr0": ("0.01", 0.01), "grad_clip": ("5", 5.0), "batch_size": ("64", 64),
+    "ramp": ("linear", "linear"), "optimizer": ("sgd", "sgd"), "momentum": ("0.5", 0.5),
+    "l1": ("1e-6", 1e-6), "fast_reg_lambda": ("0.1", 0.1), "eval_attack_steps": ("20", 20),
+    "eval_attack_restarts": ("3", 3), "oracle_budget": ("14", 14), "seed": ("5", 5),
+    "out": ("elsewhere", "elsewhere"), "jobs": ("2", 2),
+}
+
+
+def test_every_config_field_has_a_flag(monkeypatch):
+    fields = {f.name for f in dataclasses.fields(Config)}
+    assert set(FLAG_VALUES) | {"record_time"} == fields
+    argv = ["--no-record-time"]
+    for name, (text, _) in FLAG_VALUES.items():
+        argv += ["--" + name.replace("_", "-"), text]
+    expected = Config(record_time=False, **{k: v for k, (_, v) in FLAG_VALUES.items()})
+    assert _parsed_config(monkeypatch, argv) == expected
+
+
+@pytest.mark.parametrize("flags, json_values", [
+    (["--hidden", "12,12"], {"hidden": [12, 12]}),
+    (["--w-taps", "inf"], {"w_taps": "inf"}),
+])
+def test_flag_and_json_give_equal_configs(tmp_path, monkeypatch, flags, json_values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(json_values))
+    by_flag = _parsed_config(monkeypatch, flags)
+    by_json = _parsed_config(monkeypatch, ["--config", str(path)])
+    assert by_flag == by_json
+    assert by_flag != Config()
+
+
+def test_sweep_values_coerce_like_flags(tmp_path):
+    cfg = config_from_dict(fast_overrides(tmp_path))
+    assert _sweep_config(cfg, "w_taps", "inf").w_taps == float("inf")
+    assert _sweep_config(cfg, "split", "0").classifier_relus == 0
+    assert _sweep_config(cfg, "estimator", "single").loss == "taps-single"
+    with pytest.raises(ConfigError, match="estimator"):
+        _sweep_config(cfg, "estimator", "triple")
+    with pytest.raises(ConfigError, match="attack_steps"):
+        _sweep_config(cfg, "attack_steps", "2.5")
 
 
 def test_exit_code_on_io_error(tmp_path, capsys):
@@ -111,6 +201,21 @@ def test_corrupt_checkpoint_exits_4(tmp_path, capsys, corruption):
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith(f"i/o error: {path}: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_truncated_idx_exits_4(tmp_path, capsys):
+    digits = synthetic_digits(20, seed=0)
+    images = (digits.images[:, 0] * 255).astype(np.uint8)
+    path = tmp_path / "train-images-idx3-ubyte"
+    write_idx_images(path, images)
+    write_idx_labels(tmp_path / "train-labels-idx1-ubyte", digits.labels)
+    path.write_bytes(path.read_bytes()[:-100])
+    rc = main(["train", "--dataset", "mnist", "--data", str(tmp_path),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(f"i/o error: {path}: truncated image payload")
     assert len(err.strip().splitlines()) == 1
 
 
