@@ -134,8 +134,11 @@ class Config:
             raise ConfigError(f"tau_ratio conflicts with loss {self.loss!r} (sabr/staps only)")
         if self.dataset not in DATASETS:
             raise ConfigError(f"dataset: unknown value {self.dataset!r} (choose from {DATASETS})")
-        if self.jobs < 1:
-            raise ConfigError("jobs: must be >= 1")
+        for name, low in (("jobs", 1), ("test_subset", 1), ("oracle_budget", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be >= {low}")
+        if self.subset is not None and self.subset < 1:
+            raise ConfigError("subset: must be >= 1 (leave it unset for the whole split)")
         for part, build in (("training", self.train_config), ("evaluation attack", self.eval_attack)):
             try:
                 build()

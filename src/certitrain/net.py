@@ -354,7 +354,19 @@ def split_for_classifier_relus(layers, classifier_relu_count):
     return split
 
 
-ARCHITECTURES = ("mlp", "cnn3", "cnn7")
+# The convolutional architectures as ``_conv_stack`` specs; every entry is
+# followed by a ReLU.
+_CONV_SPECS = {
+    "cnn3": [("conv", 16, 4, 2, 1), ("conv", 32, 4, 2, 1), ("fc", 100)],
+    "cnn7": [("conv", 64, 3, 1, 1), ("conv", 64, 3, 1, 1), ("conv", 128, 3, 2, 1),
+             ("conv", 128, 3, 1, 1), ("conv", 128, 3, 1, 1), ("fc", 512)],
+}
+ARCHITECTURES = ("mlp", *_CONV_SPECS)
+
+
+def relu_layer_count(name, hidden=(128, 128)):
+    """ReLU layers of a named architecture: the most classifier ReLUs it has."""
+    return len(hidden) if name == "mlp" else len(_CONV_SPECS[name])
 
 
 def build_architecture(name, input_shape, num_classes, classifier_relu_count, hidden=(128, 128)):
@@ -370,25 +382,8 @@ def build_architecture(name, input_shape, num_classes, classifier_relu_count, hi
         layers = _mlp_layers(int(np.prod(input_shape)), hidden, num_classes)
         if len(input_shape) != 1:
             layers = [Flatten()] + layers
-    elif name == "cnn3":
-        layers = _conv_stack(
-            input_shape,
-            [("conv", 16, 4, 2, 1), ("conv", 32, 4, 2, 1), ("fc", 100)],
-            num_classes,
-        )
-    elif name == "cnn7":
-        layers = _conv_stack(
-            input_shape,
-            [
-                ("conv", 64, 3, 1, 1),
-                ("conv", 64, 3, 1, 1),
-                ("conv", 128, 3, 2, 1),
-                ("conv", 128, 3, 1, 1),
-                ("conv", 128, 3, 1, 1),
-                ("fc", 512),
-            ],
-            num_classes,
-        )
+    elif name in _CONV_SPECS:
+        layers = _conv_stack(input_shape, _CONV_SPECS[name], num_classes)
     else:
         raise ValueError(f"unknown architecture {name!r} (expected one of {ARCHITECTURES})")
     split = split_for_classifier_relus(layers, classifier_relu_count)

@@ -22,7 +22,7 @@ from .data import Dataset, batches, train_val_split
 from .interval import box_from_ball, elided_bounds, propagate_box
 from .loss import LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms, l1_penalty
 from .net import (ARCHITECTURES, INIT_MODES, Network, build_architecture, forward_batch,
-                  forward_on_tape, init_params, lift_params, param_grads)
+                  forward_on_tape, init_params, lift_params, param_grads, relu_layer_count)
 
 __all__ = [
     "Schedule",
@@ -77,6 +77,10 @@ class Schedule:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.eps_target >= 0:  # also rejects NaN
             raise ValueError(f"eps_target must be >= 0, got {self.eps_target}")
+        if not self.lr0 > 0:
+            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
+        if not self.grad_clip >= 0:  # 0 turns clipping off
+            raise ValueError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
 
 def epsilon_schedule(step, schedule: Schedule, steps_per_epoch) -> float:
@@ -179,6 +183,15 @@ class TrainConfig:
                 raise ValueError(f"unknown {what} {name!r} (expected one of {names})")
         if not all(w >= 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
+        relus = relu_layer_count(self.arch, self.hidden)
+        if not 0 <= self.classifier_relus <= relus:
+            raise ValueError(f"classifier_relus must lie in [0, {relus}] (the network's "
+                             f"ReLU layers), got {self.classifier_relus}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for name in ("l1", "fast_reg_lambda"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -8,14 +8,15 @@ the pattern's halfspaces is an LP; with no branched constraints the maximum
 is the closed-form corner value.  Budgets turn excessive instances into an
 explicit Unknown, never a wrong number; so does an LP solver failure.
 
-Before a pattern's LPs, two numpy tests skip the LPs whose answers are
+Before a pattern's LPs, three numpy tests skip the LPs whose answers are
 already known, as MILP verifiers' presolve does (Tjeng, Xiao & Tedrake, ICLR
 2019; Ehlers, ATVA 2017): bound tightening of the input box against the
-pattern's halfspaces rejects patterns that are empty, and a corner bound over
-the tightened box skips classes that cannot beat the best margin so far.
-Both allow ten times the solver's feasibility tolerance, so margins are those
-of solving every LP, bit for bit, and ``n_patterns`` still counts every
-enumerated pattern.
+pattern's halfspaces rejects patterns that are empty, a corner bound over
+the tightened box skips classes that cannot beat the best margin so far, and
+a class whose maximising box corner meets every halfspace is answered by that
+corner, the point the solver would return.  All three allow ten times the
+solver's feasibility tolerance, so margins are those of solving every LP, bit
+for bit, and ``n_patterns`` still counts every enumerated pattern.
 """
 
 from __future__ import annotations
@@ -110,11 +111,13 @@ def _tighten_box(a_ub, b_ub, lo, hi):
     b = b_ub + _PRUNE_MARGIN
     lo, hi = lo - _PRUNE_MARGIN, hi + _PRUNE_MARGIN
     pos, neg = a_ub > 0.0, a_ub < 0.0
+    # a zero a_kj gives a zero step, which the masks below drop
+    divisor = np.where(pos | neg, a_ub, np.inf)
     for _ in range(_TIGHTEN_PASSES):
-        slack = b - np.where(pos, a_ub * lo, a_ub * hi).sum(axis=1)
-        if (slack < 0.0).any():
+        slack = b - (a_ub * np.where(pos, lo, hi)).sum(axis=1)
+        if slack.min() < 0.0:
             return None
-        step = np.divide(slack[:, None], a_ub, out=np.zeros_like(a_ub), where=pos | neg)
+        step = slack[:, None] / divisor
         lo, hi = (np.maximum(lo, hi + np.where(neg, step, -np.inf).max(axis=0)),
                   np.minimum(hi, lo + np.where(pos, step, np.inf).min(axis=0)))
         if (lo > hi).any():
@@ -132,8 +135,29 @@ def _corner_bounds(m, v, lo, hi):
     the oracle's ``m[i] @ x + v[i]``.
     """
     center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    value = m @ center + np.abs(m) @ radius + v
-    return value + 4.0 * _rounding_slack(m.shape[1], np.abs(m) @ _magnitude(lo, hi) + np.abs(v))
+    abs_m = np.abs(m)
+    value = m @ center + abs_m @ radius + v
+    return value + 4.0 * _rounding_slack(m.shape[1], abs_m @ _magnitude(lo, hi) + np.abs(v))
+
+
+# HiGHS's dual feasibility tolerance: an objective coefficient this close to
+# zero may leave its coordinate at either bound of an optimal basis.
+_DUAL_TOLERANCE = 1e-7
+
+
+def _corner_is_optimal(m, corners, a_ub, b_ub):
+    """Per row k of m, whether HiGHS, maximising m[k] @ x over the input box
+    and a_ub @ x <= b_ub, must return the box's maximising corner corners[k].
+
+    It must when the corner meets every row with ``_PRUNE_MARGIN`` to spare,
+    so no row binds, and every nonzero m[k, j] is at least the dual
+    tolerance in size, so the optimal basis holds x_j at the bound its sign
+    picks.  A zero m[k, j] may leave x_j anywhere, but adds zero to
+    m[k] @ x either way.
+    """
+    loose = (a_ub @ corners.T <= (b_ub - _PRUNE_MARGIN)[:, None]).all(axis=0)
+    tiny = ((m != 0.0) & (np.abs(m) < _DUAL_TOLERANCE)).any(axis=1)
+    return loose & ~tiny
 
 
 def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
@@ -145,9 +169,8 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
     constraints).  Returns Unknown when the instance exceeds the budgets or
     an LP fails; ``n_patterns`` counts every enumerated pattern.
 
-    Two numpy tests run before a pattern's LPs and only skip LPs whose
-    answer could not change the result, so the margin is bit-identical to
-    solving every LP:
+    Three numpy tests run before a pattern's LPs and only skip LPs whose
+    answer is known, so the margin is bit-identical to solving every LP:
 
     - *Empty patterns.*  ``_tighten_box`` tightens the input box against the
       pattern's halfspaces, every row and bound relaxed by ten times HiGHS's
@@ -161,6 +184,15 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
       below the best margin so far, the LP's value cannot raise the
       maximum, and it is skipped.  The tightened box gives fewer LPs than
       the input box (222 against 294 on the certify benchmark's pool).
+    - *Optimal corners.*  The corner of the input box that maximises
+      m[i] @ x (``hi0`` where m[i] > 0, else ``lo0``) is the LP's optimum
+      when it meets every row with ``_PRUNE_MARGIN`` to spare, and HiGHS
+      returns it exactly when no nonzero coefficient of m[i] lies within its
+      dual tolerance of zero (``_corner_is_optimal``).  The class's value is
+      then m[i] @ corner + v[i], the LP path's own float64 expression on the
+      same vector, so it is the LP path's value bit for bit; a zero
+      coefficient adds zero wherever the solver leaves its coordinate.  This
+      answers 90 of those 222 LPs.
 
     The LPs that do run get the same rows, right-hand sides, bounds and
     objective in the same order, and the result is a maximum, so margins,
@@ -180,40 +212,51 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
     # against the true (nonlinear) prefix; only straddling units may branch
     collected = []
     propagate_box(elided, BoxBounds(box.lo[None], box.hi[None]), collect=collected)
-    global_state = {}  # relu layer index -> (active_mask, dead_mask, unstable_mask)
+    relu_units = {}  # relu layer index -> (0/1 mask of units not dead, unstable units)
     for (_, pre), (idx, _) in zip(collected, collected[1:]):
         if isinstance(elided.layers[idx], ReLU):
             active, dead = pre.lo.ravel() >= 0.0, pre.hi.ravel() <= 0.0
-            global_state[idx] = (active, dead, ~(active | dead))
-    unstable_count = sum(int(unstable.sum()) for _, _, unstable in global_state.values())
+            relu_units[idx] = ((~dead).astype(np.float64),
+                               np.flatnonzero(~(active | dead)).tolist())
+    unstable_count = sum(len(unstable) for _, unstable in relu_units.values())
     if unstable_count > budget_unstable:
         return OracleResult("unknown", None, unstable_count, 0,
                             f"{unstable_count} unstable ReLUs exceed budget {budget_unstable}")
 
     # affine operators per layer, on flattened features
     ops = [layer.affine_operator(elided.shape_after(i)) for i, layer in enumerate(elided.layers)]
+    wrong = [i for i in range(elided.num_classes) if i != y]
+    bounds = list(zip(lo0, hi0))
+    # the rows a @ x <= b of the current pattern, one per branched unit with
+    # pre-activation w @ x + c: -w @ x <= c if active, w @ x <= -c if not.
+    # The walk writes row n in place at depth n; a leaf reads the first n.
+    a_rows = np.empty((unstable_count, d))
+    b_rows = np.empty(unstable_count)
 
     best = -np.inf
     patterns = 0
     stop = ""  # why the enumeration gave up, if it did
 
-    def solve_leaf(m, v, constraints):
+    def solve_leaf(m, v, n):
         nonlocal best, stop
-        rows = [i for i in range(elided.num_classes) if i != y]
-        if not constraints:
-            vals = m[rows] @ center + np.abs(m[rows]) @ radius + v[rows]
-            best = max(best, float(vals.max()))
+        if not n:
+            mw = m[wrong]
+            best = max(best, float((mw @ center + np.abs(mw) @ radius + v[wrong]).max()))
             return
-        a_ub = -np.stack([w for w, _ in constraints])
-        b_ub = np.array([c for _, c in constraints])
+        a_ub, b_ub = a_rows[:n], b_rows[:n]
         tight = _tighten_box(a_ub, b_ub, lo0, hi0)
         if tight is None:  # empty pattern
             return
-        for i, cap in zip(rows, _corner_bounds(m[rows], v[rows], *tight)):
+        mw, vw = m[wrong], v[wrong]
+        corners = np.where(mw > 0.0, hi0, lo0)
+        answered = _corner_is_optimal(mw, corners, a_ub, b_ub)
+        for k, (i, cap) in enumerate(zip(wrong, _corner_bounds(mw, vw, *tight))):
             if cap < best:  # dominated class
                 continue
-            res = linprog(-m[i], A_ub=a_ub, b_ub=b_ub,
-                          bounds=list(zip(lo0, hi0)), method="highs")
+            if answered[k]:  # the LP's own optimum, bit for bit
+                best = max(best, float(m[i] @ corners[k] + v[i]))
+                continue
+            res = linprog(-m[i], A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
             if res.status == 2:  # infeasible pattern
                 return
             if res.status != 0:
@@ -221,7 +264,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
                 return
             best = max(best, float(m[i] @ res.x + v[i]))
 
-    def walk(layer_idx, m, v, constraints):
+    def walk(layer_idx, m, v, n):
         nonlocal patterns, stop
         if stop:
             return
@@ -230,41 +273,49 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
             if patterns > max_patterns:
                 stop = f"pattern count exceeded {max_patterns}"
                 return
-            solve_leaf(m, v, constraints)
+            solve_leaf(m, v, n)
             return
         if isinstance(elided.layers[layer_idx], ReLU):
-            g_active, g_dead, g_unstable = global_state[layer_idx]
-            lo_pre, hi_pre = _interval_of_rows(m, v, center, radius)
-            # the global verdict is authoritative for stable units; globally
-            # unstable units may still be resolved by this branch's tighter
-            # composed-map interval, otherwise they branch
-            fixed_active = g_active | (g_unstable & (lo_pre >= 0.0))
-            fixed_dead = g_dead | (g_unstable & ~fixed_active & (hi_pre <= 0.0))
-            branch_idx = np.nonzero(g_unstable & ~fixed_active & ~fixed_dead)[0]
+            base_mask, unstable = relu_units[layer_idx]
+            branch = []
+            if unstable:
+                lo_pre, hi_pre = _interval_of_rows(m, v, center, radius)
+                # the global verdict is authoritative for stable units;
+                # globally unstable units may still be resolved by this
+                # branch's tighter composed-map interval, otherwise they branch
+                base_mask = base_mask.copy()
+                for j in unstable:
+                    if lo_pre[j] >= 0.0:
+                        continue
+                    if hi_pre[j] <= 0.0:
+                        base_mask[j] = 0.0
+                    else:
+                        branch.append(j)
 
-            def expand(k, mask_rows, constr):
+            def expand(k, mask_rows, n):
                 if stop:
                     return
-                if k == len(branch_idx):
-                    walk(layer_idx + 1, m * mask_rows[:, None], v * mask_rows, constr)
+                if k == len(branch):
+                    walk(layer_idx + 1, m * mask_rows[:, None], v * mask_rows, n)
                     return
-                j = branch_idx[k]
+                j = branch[k]
                 # active branch: pre-activation >= 0
-                expand(k + 1, mask_rows, constr + [(m[j], v[j])])
+                a_rows[n], b_rows[n] = -m[j], v[j]
+                expand(k + 1, mask_rows, n + 1)
                 # inactive branch: pre-activation <= 0, unit output zeroed
                 dead = mask_rows.copy()
                 dead[j] = 0.0
-                expand(k + 1, dead, constr + [(-m[j], -v[j])])
+                a_rows[n], b_rows[n] = m[j], -v[j]
+                expand(k + 1, dead, n + 1)
 
-            base_mask = (~fixed_dead).astype(np.float64)
-            expand(0, base_mask, constraints)
+            expand(0, base_mask, n)
         elif ops[layer_idx] is None:  # no parameters: flattened features pass through
-            walk(layer_idx + 1, m, v, constraints)
+            walk(layer_idx + 1, m, v, n)
         else:
             w, b = ops[layer_idx]
-            walk(layer_idx + 1, w @ m, w @ v + b, constraints)
+            walk(layer_idx + 1, w @ m, w @ v + b, n)
 
-    walk(0, np.eye(d), np.zeros(d), [])
+    walk(0, np.eye(d), np.zeros(d), 0)
     if stop:
         return OracleResult("unknown", None, unstable_count, patterns, stop)
     return OracleResult("exact", best, unstable_count, patterns)

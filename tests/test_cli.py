@@ -81,6 +81,19 @@ BAD_CONFIGS = [
     {"w_taps": -1},
     {"loss": "sabr", "tau_ratio": 1.5},
     {"epsilon": -0.1},
+    {"classifier_relus": 5},
+    {"hidden": []},
+    {"classifier_relus": -1},
+    {"lr0": -1},
+    {"lr0": "nan"},
+    {"grad_clip": -1},
+    {"momentum": 1},
+    {"momentum": "nan"},
+    {"l1": -1e-6},
+    {"fast_reg_lambda": -0.5},
+    {"oracle_budget": -1},
+    {"subset": 0},
+    {"test_subset": 0},
 ]
 
 
@@ -358,12 +371,16 @@ def test_certify_writes_null_margin_on_solver_failure(tmp_path, monkeypatch):
     class Failed:
         status, x = 4, None
 
-    monkeypatch.setattr(verify, "linprog", lambda *a, **k: Failed())
+    calls = []
+    monkeypatch.setattr(verify, "linprog", lambda *a, **k: calls.append(1) or Failed())
     ckpt = tmp_path / "net.ckpt"
     save_checkpoint(ckpt, init_params(build_architecture("mlp", (2,), 2, 1, hidden=(8, 8)), 0))
-    cfg = config_from_dict(fast_overrides(tmp_path, test_subset=6, epsilon=0.5))
+    # at epsilon 0.8 every sample needs an LP; at smaller radii the box corner
+    # answers all of some samples' classes, which then never reach the solver
+    cfg = config_from_dict(fast_overrides(tmp_path, test_subset=6, epsilon=0.8))
     summary = cmd_certify(cfg, str(ckpt), methods=("ibp", "oracle"))
     verdicts = [json.loads(l) for l in open(summary["verdicts"])]
+    assert len(calls) == 6  # one failed LP per sample ends its enumeration
     assert len(verdicts) == 6 and all(v["exact_margin"] is None for v in verdicts)
     assert summary["oracle_coverage"] == 0.0
 

@@ -15,6 +15,7 @@ from certitrain.net import (
     forward_batch,
     forward_concrete,
     init_params,
+    relu_layer_count,
 )
 from certitrain.interval import box_from_ball
 
@@ -41,6 +42,15 @@ def test_cnn7_has_six_relus_and_rejects_seven():
     assert net.split_index == 0
     with pytest.raises(ValueError, match="classifier_relu_count"):
         build_architecture("cnn7", (1, 28, 28), 10, classifier_relu_count=7)
+
+
+@pytest.mark.parametrize("arch, shape, hidden", [
+    ("mlp", (20,), (16, 16, 16)), ("mlp", (20,), ()), ("cnn3", (1, 8, 8), ()), ("cnn7", (1, 8, 8), ()),
+])
+def test_relu_layer_count_matches_built_network(arch, shape, hidden):
+    """The count that config validation checks classifier_relus against."""
+    net = build_architecture(arch, shape, 10, 0, hidden=hidden)
+    assert relu_layer_count(arch, hidden) == net.relu_count()
 
 
 def test_unknown_architecture():

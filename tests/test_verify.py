@@ -220,6 +220,136 @@ def test_prune_bounds_cap_the_oracle_value_at_every_solver_point():
                     assert float(m[i] @ corner + v[i]) <= cap[i]
 
 
+def _spy_corner_test(monkeypatch):
+    """Record (m, corners, a_ub, b_ub, answered) for every pattern whose
+    classes reach the oracle's corner test."""
+    from certitrain import verify as V
+
+    seen = []
+    real = V._corner_is_optimal
+
+    def spy(m, corners, a_ub, b_ub):
+        answered = real(m, corners, a_ub, b_ub)
+        seen.append((m.copy(), corners.copy(), a_ub.copy(), b_ub.copy(), answered))
+        return answered
+
+    monkeypatch.setattr(V, "_corner_is_optimal", spy)
+    return seen
+
+
+def _mlp_instances(seed, count, column=1.0):
+    """Random mlp instances on 3 inputs.  ``column`` scales input 2's weights
+    in the first layer: 0.0 makes m[i, 2] zero in every pattern, 1e-9 tiny."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dims = [3, int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 5))]
+        net = random_mlp(rng, dims, scale=float(rng.uniform(1.0, 2.0)))
+        net.layers[0].weight[:, 2] *= column
+        yield net, rng.uniform(0.1, 0.9, size=3), int(rng.integers(dims[-1])), 0.06, (0.0, 1.0)
+
+
+def _near_tight_net(slack):
+    """Margin relu(x1 - x2 - slack) / 2 + relu(x1 + x2) on [0, 1]^2.  In both
+    patterns of the unstable unit the maximising corner is (1, 1), where the
+    unit's row holds with ``slack`` to spare (inactive) or breaks by
+    ``slack`` (active)."""
+    layers = [Affine(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([-slack, 0.0])), ReLU(),
+              Affine(np.array([[0.0, 0.0], [0.5, 1.0]]), np.zeros(2))]
+    return Network(layers, len(layers), 2, (2,)), np.array([0.5, 0.5]), 0, 0.5, (0.0, 1.0)
+
+
+def _one_relu_net():
+    """0.4 relu(x) + 0.6 relu(-x) on [-1, 1]: the corners x = 1 and x = -1
+    answer the patterns (active, inactive) and (inactive, active)."""
+    layers = [Affine(np.array([[1.0], [-1.0]]), np.zeros(2)), ReLU(),
+              Affine(np.array([[0.0, 0.0], [0.4, 0.6]]), np.zeros(2))]
+    return Network(layers, len(layers), 2, (1,)), np.array([0.0]), 0, 1.0, None
+
+
+def _spy_lp_points(monkeypatch):
+    """Count LP calls, and keep the point HiGHS returned for the first LP
+    with each (A_ub, b_ub, c)."""
+    from certitrain import verify as V
+
+    points, calls = {}, []
+    real = V.linprog
+
+    def spy(c, **kwargs):
+        res = real(c, **kwargs)
+        calls.append(res.status)
+        points.setdefault((kwargs["A_ub"].tobytes(), kwargs["b_ub"].tobytes(), c.tobytes()), res.x)
+        return res
+
+    monkeypatch.setattr(V, "linprog", spy)
+    return points, calls
+
+
+CORNER_CASES = {
+    "loose": lambda: [_one_relu_net(), *_mlp_instances(31, 40)],
+    "zero": lambda: list(_mlp_instances(32, 40, column=0.0)),
+    "tiny": lambda: list(_mlp_instances(32, 40, column=1e-9)),
+    "near_tight": lambda: [_near_tight_net(s) for s in (9e-7, 5e-7, 1e-7, 1e-9, 0.0, -5e-8)],
+}
+
+
+@pytest.mark.parametrize("case", CORNER_CASES)
+def test_corner_answer_matches_plain_enumeration_bitwise(monkeypatch, case):
+    """Where the box corner answers a class without an LP, and where it must
+    not, the oracle equals plain enumeration bit for bit (repr)."""
+    _, calls = _spy_lp_points(monkeypatch)
+    seen = _spy_corner_test(monkeypatch)
+    for net, x, y, eps, clip in CORNER_CASES[case]():
+        del calls[:]
+        ref = reference_oracle(net, x, y, eps, budget_unstable=12, clip=clip)
+        plain = len(calls)
+        assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12, clip=clip)) == repr(ref)
+        if case == "near_tight":  # no corner meets its rows with the margin
+            assert len(calls) - plain == plain
+    answered = [m[k] for m, _, _, _, ans in seen for k in np.flatnonzero(ans)]
+    if case == "loose":
+        assert len(answered) >= 10
+    elif case == "zero":
+        assert sum(m[2] == 0.0 and m.any() for m in answered) >= 10
+    elif case == "tiny":
+        # classes whose corner meets every row but whose m[2] is tiny: HiGHS
+        # may stop at the other bound of x_2, so their LPs run
+        tiny = [(a_ub @ corners.T <= (b_ub - 1e-6)[:, None]).all(axis=0)
+                & (np.abs(m[:, 2]) < 1e-7) & (m[:, 2] != 0.0)
+                for m, corners, a_ub, b_ub, _ in seen]
+        assert sum(int(t.sum()) for t in tiny) >= 10
+        assert not any((t & ans).any() for t, (*_, ans) in zip(tiny, seen))
+    else:
+        assert len(seen) >= 6 and not answered
+
+
+def test_corner_answers_are_the_solver_points(monkeypatch):
+    """On a fixed instance, every class the corner test answers is one plain
+    enumeration solved, and its corner is the point HiGHS returned there;
+    the oracle solves fewer LPs than with the test switched off."""
+    from certitrain import verify as V
+
+    rng = np.random.default_rng(46)
+    net = random_mlp(rng, [3, 6, 5, 3], scale=1.8)
+    x, y, eps = rng.uniform(0.1, 0.9, size=3), 1, 0.06
+    points, calls = _spy_lp_points(monkeypatch)
+    ref = reference_oracle(net, x, y, eps, budget_unstable=12)
+    corner_test = V._corner_is_optimal
+    monkeypatch.setattr(V, "_corner_is_optimal", lambda m, *rest: np.zeros(len(m), dtype=bool))
+    del calls[:]
+    assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12)) == repr(ref)
+    without = len(calls)
+    monkeypatch.setattr(V, "_corner_is_optimal", corner_test)
+    seen = _spy_corner_test(monkeypatch)
+    del calls[:]
+    assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12)) == repr(ref)
+    assert len(calls) < without
+    answered = [(m[k], corners[k], a_ub, b_ub) for m, corners, a_ub, b_ub, ans in seen
+                for k in np.flatnonzero(ans)]
+    assert answered
+    for m, corner, a_ub, b_ub in answered:
+        assert points[a_ub.tobytes(), b_ub.tobytes(), (-m).tobytes()].tobytes() == corner.tobytes()
+
+
 def sample_margins(net, x, y, eps, n, seed):
     box = box_from_ball(x, eps, (0, 1))
     pts = box.sample(n, np.random.default_rng(seed))
