@@ -30,7 +30,6 @@ __all__ = [
 class AttackConfig:
     steps: int = 8
     restarts: int = 1
-    step_size: float | str = "auto"  # "auto" => 2 * radius / steps per coordinate
     objective: object = "cross_entropy"  # or ("logit_diff", target_index)
     seed: int = 0
     check_projection: bool = False
@@ -39,13 +38,6 @@ class AttackConfig:
         if self.steps < 1 or self.restarts < 1:
             raise ValueError(f"steps and restarts must be >= 1, got steps={self.steps}, "
                              f"restarts={self.restarts}")
-        if self.step_size != "auto" and float(self.step_size) <= 0:
-            raise ValueError("step_size must be positive")
-
-    def resolve_step(self, lo, hi):
-        if self.step_size == "auto":
-            return (hi - lo) / self.steps
-        return float(self.step_size)
 
 
 def ce_rows(logits, labels):
@@ -135,14 +127,15 @@ def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
     row (sequence of ``lead[0]``).  All ``cfg.restarts`` restarts run as one
     pass over R * prod(lead) rows, restart-major; each row keeps the first
     maximum over its (restart, step) sequence, as R sequential runs with a
-    strict ``>`` would.  The last of the ``steps + 1`` evaluations is
+    strict ``>`` would.  The step per coordinate is the box's width over
+    ``cfg.steps``.  The last of the ``steps + 1`` evaluations is
     forward-only, because its gradient is never used.
     """
     lead = np.shape(labels)
     r, stop = cfg.restarts, len(net.layers)
     shape = (r,) + lo.shape
     feat = shape[1 + len(lead):]
-    eta = cfg.resolve_step(lo, hi)
+    eta = (hi - lo) / cfg.steps
     xv = lo + _starts(rng, shape) * (hi - lo)   # (R, *lead, *feat)
     x = xv.reshape((-1,) + feat)                # the same memory as R * prod(lead) rows
     tile = lambda a: np.broadcast_to(a, (r,) + lead).reshape(-1)
@@ -173,8 +166,9 @@ def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
     return np.take_along_axis(best_x.reshape(shape), pick, axis=0)[0]
 
 
-def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None, clip=(0.0, 1.0)):
-    """Strongest found perturbation of ``x`` within the clipped eps-ball.
+def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None):
+    """Strongest found perturbation of ``x`` within the eps-ball
+    intersected with the input domain.
 
     Batched: ``x`` is (B, ...), ``y`` an int array (B,).  The returned points
     lie inside the ball; per sample the best-objective iterate over all
@@ -188,7 +182,7 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None, clip=(0.0, 1
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    box = box_from_ball(x, eps, clip)
+    box = box_from_ball(x, eps)
     if eps == 0.0:
         return x.copy()
     return _ascend(net, 0, box.lo, box.hi, y, _objective_targets(cfg, y), cfg, rng)
@@ -233,13 +227,12 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, r
     return best, targets
 
 
-def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng=None,
-                       clip=(0.0, 1.0)) -> BoxBounds:
+def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng=None) -> BoxBounds:
     """Small adversarially-centered box inside the eps-ball.
 
     Attacks within the shrunk ball B(x, eps - tau) to pick a center, then
-    returns B(center, tau) intersected with B(x, eps) and the value range,
-    which guarantees the region is a subset of the full ball.
+    returns :func:`box_from_ball` (center, tau) intersected with B(x, eps),
+    which guarantees the region is a subset of the full ball's box.
     """
     if not 0 < tau <= eps:
         raise ValueError(f"tau must lie in (0, eps]; got tau={tau}, eps={eps}")
@@ -248,10 +241,6 @@ def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng=None
     if shrink == 0.0:
         center = x.copy()
     else:
-        center = pgd_input(net, x, y, shrink, cfg, rng=rng, clip=clip)
-    lo = np.maximum(center - tau, x - eps)
-    hi = np.minimum(center + tau, x + eps)
-    if clip is not None:
-        lo = np.maximum(lo, clip[0])
-        hi = np.minimum(hi, clip[1])
-    return BoxBounds(lo, hi)
+        center = pgd_input(net, x, y, shrink, cfg, rng=rng)
+    small = box_from_ball(center, tau)
+    return BoxBounds(np.maximum(small.lo, x - eps), np.minimum(small.hi, x + eps))

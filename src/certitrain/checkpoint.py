@@ -4,11 +4,13 @@ Layout: 4 magic bytes, little-endian u32 version, little-endian u32 header
 length, UTF-8 JSON header, then one little-endian float64 blob per parameter
 tensor in declaration order, and nothing after the last blob.  The header
 records each layer's descriptor, enough structure to rebuild the network
-without consulting the architecture registry.
+without consulting the architecture registry, and the sha256 of the blobs,
+so a changed byte in the parameters fails the load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -20,7 +22,7 @@ from .net import LAYER_KINDS, Network
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "MAGIC", "VERSION"]
 
 MAGIC = b"CTRN"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -31,6 +33,7 @@ def save_checkpoint(path, net: Network, meta=None):
     """Write the network (and optional metadata: arch name, seed, epoch) to a
     temporary file that replaces ``path`` only once it is complete."""
     meta = dict(meta or {})
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in net.param_arrays())
     header = {
         "meta": meta,
         "input_shape": list(net.input_shape),
@@ -38,6 +41,7 @@ def save_checkpoint(path, net: Network, meta=None):
         "split_index": net.split_index,
         "layers": [layer.descriptor() for layer in net.layers],
         "tensor_shapes": [list(a.shape) for a in net.param_arrays()],
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
@@ -46,8 +50,7 @@ def save_checkpoint(path, net: Network, meta=None):
             fh.write(MAGIC)
             fh.write(struct.pack("<II", VERSION, len(blob)))
             fh.write(blob)
-            for arr in net.param_arrays():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(payload)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -87,6 +90,8 @@ def _parse(data):
     if len(data) != end:
         raise CheckpointError("truncated parameter blob" if len(data) < end
                               else "trailing bytes after the last parameter blob")
+    if hashlib.sha256(memoryview(data)[offset:]).hexdigest() != header["payload_sha256"]:
+        raise CheckpointError("parameter blobs do not match the header's sha256")
     arrays = []
     for shape, n in zip(header["tensor_shapes"], sizes):
         arrays.append(np.frombuffer(data, "<f8", n, offset).reshape(shape).copy())

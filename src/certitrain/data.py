@@ -34,13 +34,16 @@ GZIP_PREFIX = b"\x1f\x8b"
 
 DATA_ENV_VAR = "CERTITRAIN_DATA"
 
+# every input lies in this range: datasets are checked against it, and every
+# perturbation ball is intersected with it
+DOMAIN = (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class Dataset:
     images: np.ndarray           # (N, C, H, W) or (N, D)
     labels: np.ndarray           # (N,) int64
     num_classes: int
-    domain01: bool = True
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -51,9 +54,8 @@ class Dataset:
             raise ValueError("label outside [0, num_classes)")
         if not np.all(np.isfinite(self.images)):
             raise ValueError("images hold NaN or infinite values")
-        if self.domain01 and self.images.size:
-            if self.images.min() < 0.0 or self.images.max() > 1.0:
-                raise ValueError("images outside [0, 1] for a [0,1]-domain dataset")
+        if self.images.size and (self.images.min() < DOMAIN[0] or self.images.max() > DOMAIN[1]):
+            raise ValueError("images outside [{:g}, {:g}]".format(*DOMAIN))
 
     def __len__(self):
         return self.images.shape[0]
@@ -164,7 +166,7 @@ def synthetic_moons(n, noise=0.05, seed=0) -> Dataset:
         pts = pts + rng.normal(0.0, noise, size=pts.shape)
     # fixed uniform scale of the noise-free arc range into the unit square
     pts = np.stack([(pts[:, 0] + 1.0) / 3.0, (pts[:, 1] + 1.0) / 3.0], axis=1)
-    pts = np.clip(pts, 0.0, 1.0)
+    pts = np.clip(pts, *DOMAIN)
     order = rng.permutation(n)
     return Dataset(images=pts[order], labels=labels[order], num_classes=2)
 
@@ -200,8 +202,8 @@ def _box_blur(img, passes=1):
     return img
 
 
-def synthetic_digits(n, seed=0, size=28, noise=0.05) -> Dataset:
-    """Ten-class digit-image corpus rendered from bitmap glyphs.
+def synthetic_digits(n, seed=0) -> Dataset:
+    """Ten-class corpus of 28x28 digit images rendered from bitmap glyphs.
 
     Deterministic given the seed: glyphs are randomly scaled, shifted,
     sheared, brightness-jittered, blurred, and noised.  Bold strokes on a
@@ -209,6 +211,7 @@ def synthetic_digits(n, seed=0, size=28, noise=0.05) -> Dataset:
     training behaves like it does on handwritten-digit data; it is the
     stand-in corpus when real IDX files are not on disk.
     """
+    size = 28
     rng = np.random.default_rng(seed)
     images = np.zeros((n, size, size))
     labels = rng.integers(0, 10, size=n).astype(np.int64)
@@ -238,9 +241,8 @@ def synthetic_digits(n, seed=0, size=28, noise=0.05) -> Dataset:
         canvas = _box_blur(canvas)
         if canvas.max() > 0:
             canvas *= peak / canvas.max()
-        if noise:
-            canvas = canvas + rng.normal(0.0, noise, size=canvas.shape)
-        images[i] = np.clip(canvas, 0.0, 1.0)
+        canvas = canvas + rng.normal(0.0, 0.05, size=canvas.shape)
+        images[i] = np.clip(canvas, *DOMAIN)
     return Dataset(images=images[:, None, :, :], labels=labels, num_classes=10)
 
 

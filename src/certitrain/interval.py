@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import DOMAIN
 from .net import Network
 
 __all__ = [
@@ -59,16 +60,12 @@ class BoxBounds:
         return self.lo[None] + u * (self.hi - self.lo)[None]
 
 
-def box_from_ball(x, eps, clip=(0.0, 1.0)) -> BoxBounds:
-    """L-infinity ball around ``x``, optionally intersected with a value range."""
+def box_from_ball(x, eps) -> BoxBounds:
+    """L-infinity ball around ``x`` intersected with the input domain."""
     if eps < 0:
         raise ValueError(f"negative radius {eps}")
     x = np.asarray(x, dtype=np.float64)
-    lo, hi = x - eps, x + eps
-    if clip is not None:
-        lo = np.maximum(lo, clip[0])
-        hi = np.minimum(hi, clip[1])
-    return BoxBounds(lo, hi)
+    return BoxBounds(np.maximum(x - eps, DOMAIN[0]), np.minimum(x + eps, DOMAIN[1]))
 
 
 def propagate_box(net: Network, box: BoxBounds, stop=None, collect=None) -> BoxBounds:
@@ -140,8 +137,8 @@ def input_box_nodes(tape: T.Tape, box: BoxBounds) -> TapedBox:
     return TapedBox(tape.constant(box.lo), tape.constant(box.hi))
 
 
-def ibp_bounds(net: Network, x, y, eps, clip=(0.0, 1.0)) -> BoxBounds:
+def ibp_bounds(net: Network, x, y, eps) -> BoxBounds:
     """Concrete IBP bounds on one sample's logit differences (label ``y``)."""
-    box = box_from_ball(np.asarray(x, dtype=np.float64)[None], eps, clip)
+    box = box_from_ball(np.asarray(x, dtype=np.float64)[None], eps)
     out = elided_bounds(net, box, [y])
     return BoxBounds(out.lo[0], out.hi[0])

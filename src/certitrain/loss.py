@@ -108,11 +108,10 @@ def margin_loss(upper_diffs, y) -> float:
 # Batched graph builders
 # ---------------------------------------------------------------------------
 
-def ibp_loss_terms(tape, net, params, X, y, eps, clip=(0.0, 1.0), box=None,
-                   collect=None) -> T.Node:
+def ibp_loss_terms(tape, net, params, X, y, eps, box=None, collect=None) -> T.Node:
     """Per-sample CE over elided interval bounds of the (possibly small) box."""
     if box is None:
-        box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+        box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
     last = len(net.layers) - 1
     out = propagate_box_on_tape(net, params, input_box_nodes(tape, box), stop=last, collect=collect)
     bounds = elided_bounds_on_tape(net, params, out, y, start=last)
@@ -120,8 +119,8 @@ def ibp_loss_terms(tape, net, params, X, y, eps, clip=(0.0, 1.0), box=None,
 
 
 def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
-                      connector=None, attack=None, rng=None, clip=(0.0, 1.0),
-                      box=None, latent_provider=None):
+                      connector=None, attack=None, rng=None, box=None,
+                      latent_provider=None):
     """Build (bound_terms, attacked_terms) sharing the extractor propagation.
 
     ``bound_terms`` is the sound CE over full interval propagation of the
@@ -135,7 +134,7 @@ def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
     y = np.asarray(y, dtype=np.intp)
     split = net.split_index
     if box is None:
-        box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+        box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
     tb = input_box_nodes(tape, box)
 
     if split >= len(net.layers):
@@ -180,52 +179,48 @@ def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
 # Scalar convenience wrappers (single sample)
 # ---------------------------------------------------------------------------
 
-def ibp_loss(net: Network, x, y, eps, clip=(0.0, 1.0)) -> float:
+def ibp_loss(net: Network, x, y, eps) -> float:
     tape = T.Tape()
     params = lift_params(tape, net)
-    terms = ibp_loss_terms(tape, net, params, np.asarray(x)[None], np.asarray([y]), eps, clip)
+    terms = ibp_loss_terms(tape, net, params, np.asarray(x)[None], np.asarray([y]), eps)
     return float(terms.value[0])
 
 
 def taps_loss(net: Network, x, y, eps, multi=True, connector=None, attack=None,
-              rng=None, clip=(0.0, 1.0), latent_provider=None) -> float:
+              rng=None, latent_provider=None) -> float:
     tape = T.Tape()
     params = lift_params(tape, net)
     _, attacked = paired_loss_terms(
         tape, net, params, np.asarray(x)[None], np.asarray([y]), eps,
-        multi=multi, connector=connector, attack=attack, rng=rng, clip=clip,
+        multi=multi, connector=connector, attack=attack, rng=rng,
         latent_provider=latent_provider,
     )
     return float(attacked.value[0])
 
 
-def sabr_loss(net: Network, x, y, eps, tau, attack=None, rng=None,
-              clip=(0.0, 1.0), region=None) -> float:
+def sabr_loss(net: Network, x, y, eps, tau, attack=None, rng=None, region=None) -> float:
     attack = attack or AttackConfig()
     x = np.asarray(x, dtype=np.float64)
     if region is None:
-        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau, attack,
-                                    rng=rng, clip=clip)
+        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau, attack, rng=rng)
     tape = T.Tape()
     params = lift_params(tape, net)
-    terms = ibp_loss_terms(tape, net, params, None, np.asarray([y]), None, clip, box=region)
+    terms = ibp_loss_terms(tape, net, params, None, np.asarray([y]), None, box=region)
     return float(terms.value[0])
 
 
 def staps_loss(net: Network, x, y, eps, tau, multi=True, connector=None,
-               attack=None, rng=None, clip=(0.0, 1.0), region=None,
-               latent_provider=None) -> float:
+               attack=None, rng=None, region=None, latent_provider=None) -> float:
     attack = attack or AttackConfig()
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(attack.seed) if rng is None else rng
     if region is None:
-        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau, attack,
-                                    rng=rng, clip=clip)
+        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau, attack, rng=rng)
     tape = T.Tape()
     params = lift_params(tape, net)
     _, attacked = paired_loss_terms(
         tape, net, params, None, np.asarray([y]), None,
-        multi=multi, connector=connector, attack=attack, rng=rng, clip=clip,
+        multi=multi, connector=connector, attack=attack, rng=rng,
         box=region, latent_provider=latent_provider,
     )
     return float(attacked.value[0])
@@ -236,7 +231,7 @@ def staps_loss(net: Network, x, y, eps, tau, multi=True, connector=None,
 # ---------------------------------------------------------------------------
 
 def combined_gradient(net: Network, X, y, eps, kind: LossKind, rng=None,
-                      clip=(0.0, 1.0), latent_provider=None):
+                      latent_provider=None):
     """Batch gradient of the product objective with alpha-scaled branches.
 
     Batch means of the two loss families are taken first; each branch's
@@ -259,15 +254,14 @@ def combined_gradient(net: Network, X, y, eps, kind: LossKind, rng=None,
 
     region = None
     if kind.tag == "staps":
-        region = sabr_select_region(net, X, y, eps, kind.tau_ratio * eps, kind.attack,
-                                    rng=rng, clip=clip)
+        region = sabr_select_region(net, X, y, eps, kind.tau_ratio * eps, kind.attack, rng=rng)
 
     tape = T.Tape()
     params = lift_params(tape, net)
     bound_terms, attacked_terms = paired_loss_terms(
         tape, net, params, X, y, eps,
         multi=kind.multi, connector=kind.connector, attack=kind.attack,
-        rng=rng, clip=clip, box=region, latent_provider=latent_provider,
+        rng=rng, box=region, latent_provider=latent_provider,
     )
     if np.any(attacked_terms.value > bound_terms.value + 1e-9):
         worst = float((attacked_terms.value - bound_terms.value).max())
@@ -345,11 +339,11 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
     return T.scale(T.add(_mean(tight_terms), _mean(balance_terms)), lam)
 
 
-def fast_regularizer(net: Network, X, eps, lam, clip=(0.0, 1.0)) -> float:
+def fast_regularizer(net: Network, X, eps, lam) -> float:
     """Standalone value of the annealing regularizer for a batch."""
     tape = T.Tape()
     params = lift_params(tape, net)
-    box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+    box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
     node = fast_regularizer_node(tape, net, params, box, lam)
     return float(node.value)
 

@@ -212,14 +212,13 @@ class RunState:
 # One optimization step
 # ---------------------------------------------------------------------------
 
-def _bound_loss_grads(net, X, y, eps, *, region=None, reg_lambda=0.0, eps_frac=0.0,
-                      clip=(0.0, 1.0)):
+def _bound_loss_grads(net, X, y, eps, *, region=None, reg_lambda=0.0, eps_frac=0.0):
     """Gradient of mean bound loss (+ scaled regularizer during annealing)."""
     tape = T.Tape()
     params = lift_params(tape, net)
-    box = region if region is not None else box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+    box = region if region is not None else box_from_ball(np.asarray(X, dtype=np.float64), eps)
     collected = []
-    terms = ibp_loss_terms(tape, net, params, X, y, eps, clip, box=box, collect=collected)
+    terms = ibp_loss_terms(tape, net, params, X, y, eps, box=box, collect=collected)
     root = T.mean_all(terms)
     bound_value = float(root.value)
     if reg_lambda > 0.0 and eps_frac > 0.0:
@@ -256,8 +255,7 @@ def _first_nonfinite(net: Network, grads):
     return ""
 
 
-def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch,
-               clip=(0.0, 1.0)):
+def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch):
     """Apply one update; returns the metrics row for this step."""
     X, y = batch
     sched = config.schedule
@@ -272,24 +270,23 @@ def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch,
     if kind.tag == "natural":
         grads, objective = _natural_grads(state.net, X, y)
     elif kind.tag == "pgd_at":
-        adv = X if eps == 0.0 else pgd_input(state.net, X, y, eps, kind.attack, rng=rng, clip=clip)
+        adv = X if eps == 0.0 else pgd_input(state.net, X, y, eps, kind.attack, rng=rng)
         grads, objective = _natural_grads(state.net, adv, y)
     else:
         region = None
         if kind.tag in ("sabr", "staps") and eps > 0.0:
             tau = kind.tau_ratio * eps
-            region = sabr_select_region(state.net, X, y, eps, tau, kind.attack,
-                                        rng=rng, clip=clip)
+            region = sabr_select_region(state.net, X, y, eps, tau, kind.attack, rng=rng)
         degenerate = state.net.split_index >= len(state.net.layers)
         if annealing or not kind.uses_product or degenerate:
             eps_frac = eps / sched.eps_target if annealing else 0.0
             grads, bound_value, objective = _bound_loss_grads(
                 state.net, X, y, eps, region=region,
                 reg_lambda=config.fast_reg_lambda if annealing else 0.0,
-                eps_frac=eps_frac, clip=clip)
+                eps_frac=eps_frac)
         else:
             state.taps_branch_steps += 1
-            grads, diag = combined_gradient(state.net, X, y, eps, kind, rng=rng, clip=clip)
+            grads, diag = combined_gradient(state.net, X, y, eps, kind, rng=rng)
             bound_value = diag["bound_loss"]
             taps_value = diag["attacked_loss"]
             objective = diag["product"]
@@ -331,32 +328,32 @@ def natural_accuracy(net: Network, X, y) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
-def _certified_mask(net: Network, X, y, eps, clip=(0.0, 1.0)):
+def _certified_mask(net: Network, X, y, eps):
     """Per-sample interval certification (all non-label diffs bounded < 0)."""
-    box = box_from_ball(np.asarray(X, dtype=np.float64), eps, clip)
+    box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
     hi = elided_bounds(net, box, y).hi
     hi[np.arange(len(y)), y] = -np.inf
     return hi.max(axis=1) < 0.0
 
 
 def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None,
-                  rng=None, clip=(0.0, 1.0), chunk=256) -> float:
+                  rng=None) -> float:
     """Fraction of samples whose latent attack points are all classified right.
 
     With an empty classifier this is interval-certified accuracy; with eps=0
-    it reduces to natural accuracy.  Evaluation runs in chunks to bound the
-    memory of the multi-target attack rows.
+    it reduces to natural accuracy.  Evaluation runs in chunks of 256 samples
+    to bound the memory of the multi-target attack rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     attack = attack or AttackConfig(steps=8)
     if net.split_index >= len(net.layers):
-        return float(np.mean(_certified_mask(net, X, y, eps, clip)))
-    correct = 0
+        return float(np.mean(_certified_mask(net, X, y, eps)))
+    correct, chunk = 0, 256
     for start in range(0, X.shape[0], chunk):
         xs = X[start : start + chunk]
         ys = y[start : start + chunk]
-        latent_box = propagate_box(net, box_from_ball(xs, eps, clip), stop=net.split_index)
+        latent_box = propagate_box(net, box_from_ball(xs, eps), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, ys, attack, multi=True, rng=rng)
         b, t = targets.shape
         flat = points.reshape((b * t,) + points.shape[2:])
@@ -400,7 +397,6 @@ def train_run(config: TrainConfig, dataset: Dataset, out_dir):
     net = build_architecture(config.arch, sample_shape, dataset.num_classes,
                              config.classifier_relus, hidden=config.hidden)
     net = init_params(net, init_seed, config.init)
-    clip = (0.0, 1.0) if dataset.domain01 else None
 
     state = RunState(net=net, optimizer=make_optimizer(config.optimizer, config.momentum),
                      rng_attack=attack_rng)
@@ -416,7 +412,7 @@ def train_run(config: TrainConfig, dataset: Dataset, out_dir):
             t0 = time.perf_counter()
             sums, counts = {}, {}
             for batch in batches(train_set, sched.batch_size, shuffle_seed, epoch):
-                metrics = train_step(batch, state, config, steps_per_epoch, clip=clip)
+                metrics = train_step(batch, state, config, steps_per_epoch)
                 for k, v in metrics.items():
                     if v is not None:
                         sums[k] = sums.get(k, 0.0) + v
@@ -425,7 +421,7 @@ def train_run(config: TrainConfig, dataset: Dataset, out_dir):
             nat_acc = natural_accuracy(state.net, val_set.images, val_set.labels)
             val_eps = state.epsilon
             t_acc = taps_accuracy(state.net, val_set.images, val_set.labels, val_eps,
-                                  config.val_attack, rng=attack_rng, clip=clip)
+                                  config.val_attack, rng=attack_rng)
             if state.epsilon >= sched.eps_target and t_acc >= state.best_taps_acc:
                 state.best_taps_acc = t_acc
                 state.best_net = state.net

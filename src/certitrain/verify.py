@@ -57,9 +57,9 @@ __all__ = [
 # Plain interval certification
 # ---------------------------------------------------------------------------
 
-def certify_ibp(net: Network, x, y, eps, clip=(0.0, 1.0)):
+def certify_ibp(net: Network, x, y, eps):
     """(certified, upper logit-difference vector) for one sample."""
-    hi = ibp_bounds(net, x, y, eps, clip=clip).hi
+    hi = ibp_bounds(net, x, y, eps).hi
     return margin_loss(hi, y) < 0.0, hi
 
 
@@ -161,7 +161,7 @@ def _corner_is_optimal(m, corners, a_ub, b_ub):
 
 
 def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
-                        max_patterns=200_000, clip=(0.0, 1.0)) -> OracleResult:
+                        max_patterns=200_000) -> OracleResult:
     """Exact worst-case margin max over the box of max_{i != y} (o_i - o_y).
 
     Enumerates activation patterns of unstable ReLUs; per pattern solves one
@@ -201,7 +201,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
     """
     x = np.asarray(x, dtype=np.float64)
     elided = elide_final_layer(net, y)
-    box = box_from_ball(x, eps, clip)
+    box = box_from_ball(x, eps)
     lo0 = box.lo.reshape(-1)
     hi0 = box.hi.reshape(-1)
     center = 0.5 * (lo0 + hi0)
@@ -591,10 +591,10 @@ class _BranchAndBound:
     of the unstable unit whose chord carries the most dual weight.
     """
 
-    def __init__(self, net: Network, y, clip_box: BoxBounds):
+    def __init__(self, net: Network, y, box: BoxBounds):
         self.net, self.y = net, y
         self.relus, (self.w_out, self.b_out) = _piecewise_affine(net)
-        self.x_lo, self.x_hi = clip_box.lo.reshape(-1), clip_box.hi.reshape(-1)
+        self.x_lo, self.x_hi = box.lo.reshape(-1), box.hi.reshape(-1)
         _bound_relu_layers(self.relus, self.x_lo, self.x_hi)
         self.units = [(k, j) for k, layer in enumerate(self.relus)
                       for j in np.nonzero(layer.unstable)[0]]
@@ -678,9 +678,9 @@ class _BranchAndBound:
 
 
 def certify_relaxed(net: Network, x, y, eps, lp_budget=256) -> RelaxedResult:
-    """Certify one sample over its eps-ball clipped to [0, 1]: interval
-    bounds first, then a triangle LP relaxation and branch and bound on each
-    class the interval bounds leave open.
+    """Certify one sample over its eps-ball intersected with the input
+    domain: interval bounds first, then a triangle LP relaxation and branch
+    and bound on each class the interval bounds leave open.
 
     The interval stage is IBP with outward rounding and back-substitution-
     tightened intermediate bounds; it settles the sample with status
@@ -691,7 +691,7 @@ def certify_relaxed(net: Network, x, y, eps, lp_budget=256) -> RelaxedResult:
     as certified.
     """
     x = np.asarray(x, dtype=np.float64)
-    bb = _BranchAndBound(net, y, box_from_ball(x, eps, (0.0, 1.0)))
+    bb = _BranchAndBound(net, y, box_from_ball(x, eps))
 
     def result(certified, bound, status, reason=""):
         return RelaxedResult(certified, float(bound), status, len(bb.units), bb.n_lps, reason)
@@ -715,15 +715,15 @@ def certify_relaxed(net: Network, x, y, eps, lp_budget=256) -> RelaxedResult:
 
 def margin_upper_bound(net: Network, x, y, eps, lp_budget=256) -> float:
     """Tightest upper bound on max_{i != y} (o_i - o_y) over the eps-ball
-    clipped to [0, 1] that the relaxation reaches with ``lp_budget`` LPs per
-    class.
+    intersected with the input domain that the relaxation reaches with
+    ``lp_budget`` LPs per class.
 
     Sound in float64 for the network's float64 weights.  With a budget that
     splits every unstable unit it equals the exact margin to within
     ``LP_TOLERANCE``; inf on a solver failure.
     """
     x = np.asarray(x, dtype=np.float64)
-    bb = _BranchAndBound(net, y, box_from_ball(x, eps, (0.0, 1.0)))
+    bb = _BranchAndBound(net, y, box_from_ball(x, eps))
     return max(bb.class_bound(i, lp_budget, decide=False)[0]
                for i in range(net.num_classes) if i != y)
 
@@ -739,40 +739,39 @@ def _margin_at(net: Network, point, y):
     return margin_loss(diffs, y), diffs
 
 
-def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng=None, clip=(0.0, 1.0)):
+def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng=None):
     """PGD margin of each sample of a batch: one batched attack over all
     samples and restarts, each margin read at its sample's point as
     :func:`method_bound` ``"pgd"`` reads it.  ``rng`` is one generator or one
     per sample (see :func:`attack.pgd_input`)."""
     y = np.asarray(y, dtype=np.intp)
-    adv = pgd_input(net, X, y, eps, attack, rng=rng, clip=clip)
+    adv = pgd_input(net, X, y, eps, attack, rng=rng)
     return [_margin_at(net, point, label)[0] for point, label in zip(adv, y)]
 
 
-def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
-                 rng=None, clip=(0.0, 1.0)):
+def method_bound(net: Network, x, y, eps, method, attack=None, rng=None):
     """(margin approximation, logit-difference vector) for one method.
 
     ``ibp`` is a sound upper bound, ``pgd`` a feasible-point value (an
-    under-approximation), ``sabr``/``taps`` may err on either side.
+    under-approximation), ``sabr``/``taps`` may err on either side.  ``sabr``
+    bounds a small box of radius 0.4 * eps.
     """
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
-        hi = ibp_bounds(net, x, y, eps, clip=clip).hi
+        hi = ibp_bounds(net, x, y, eps).hi
         return margin_loss(hi, y), hi
     if method == "pgd":
         cfg = attack or AttackConfig(steps=50, restarts=3, seed=0)
-        adv = pgd_input(net, x[None], np.asarray([y]), eps, cfg, rng=rng, clip=clip)[0]
+        adv = pgd_input(net, x[None], np.asarray([y]), eps, cfg, rng=rng)[0]
         return _margin_at(net, adv, y)
     if method == "sabr":
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
-        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau_ratio * eps,
-                                    cfg, rng=rng, clip=clip)
+        region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.4 * eps, cfg, rng=rng)
         hi = elided_bounds(net, region, [y]).hi[0]
         return margin_loss(hi, y), hi
     if method == "taps":
         cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
-        latent_box = propagate_box(net, box_from_ball(x[None], eps, clip), stop=net.split_index)
+        latent_box = propagate_box(net, box_from_ball(x[None], eps), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, np.asarray([y]), cfg,
                                      multi=True, rng=rng)
         flat = points[0]
@@ -784,16 +783,16 @@ def method_bound(net: Network, x, y, eps, method, attack=None, tau_ratio=0.4,
     raise ValueError(f"unknown method {method!r}")
 
 
-def adversarial_accuracy(net: Network, X, y, eps, attack=None, rng=None,
-                         clip=(0.0, 1.0), chunk=256) -> float:
-    """Fraction surviving the strongest found attack (upper bound on robustness)."""
+def adversarial_accuracy(net: Network, X, y, eps, attack=None, rng=None) -> float:
+    """Fraction surviving the strongest found attack (upper bound on
+    robustness), attacked in chunks of 256 samples."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     cfg = attack or AttackConfig(steps=200, restarts=5, seed=0)
-    correct = 0
+    correct, chunk = 0, 256
     for start in range(0, X.shape[0], chunk):
         xs, ys = X[start : start + chunk], y[start : start + chunk]
-        adv = xs if eps == 0.0 else pgd_input(net, xs, ys, eps, cfg, rng=rng, clip=clip)
+        adv = xs if eps == 0.0 else pgd_input(net, xs, ys, eps, cfg, rng=rng)
         logits = forward_batch(net, adv)
         correct += int(np.sum(np.argmax(logits, axis=1) == ys))
     return correct / X.shape[0]
@@ -836,7 +835,7 @@ class VarianceReport:
 
 
 def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None,
-                          attack=None, rng=None, clip=(0.0, 1.0)):
+                          attack=None, rng=None):
     """Per-sample (attacked value, bound value, their gradients), attack frozen.
 
     One tape per sample; the same latent points serve both branch gradients,
@@ -850,7 +849,7 @@ def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None
         params = lift_params(tape, net)
         bound, attacked = paired_loss_terms(
             tape, net, params, X[i : i + 1], y[i : i + 1], eps,
-            multi=multi, connector=connector, attack=attack, rng=rng, clip=clip)
+            multi=multi, connector=connector, attack=attack, rng=rng)
         flat_f = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(attacked))])
         flat_g = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(bound))])
         f_vals.append(float(attacked.value[0]))
@@ -862,8 +861,7 @@ def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None
 
 
 def variance_theorem_check(net: Network, X_pool, y_pool, eps, n, trials, seed,
-                           *, multi=True, connector=None, attack=None,
-                           clip=(0.0, 1.0)) -> VarianceReport:
+                           *, multi=True, connector=None, attack=None) -> VarianceReport:
     """Monte Carlo comparison of the two product-gradient estimators.
 
     For bootstrap batches of size n, computes the gradient of
@@ -875,8 +873,7 @@ def variance_theorem_check(net: Network, X_pool, y_pool, eps, n, trials, seed,
         raise ValueError("pool should hold at least 10n samples")
     rng = np.random.default_rng(seed)
     f, g, df, dg = per_sample_loss_grads(net, X_pool, y_pool, eps, multi=multi,
-                                         connector=connector, attack=attack,
-                                         rng=rng, clip=clip)
+                                         connector=connector, attack=attack, rng=rng)
     pool = len(f)
     p = df.shape[1]
     sum1 = np.zeros(p)

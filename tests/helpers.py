@@ -98,7 +98,7 @@ def reference_pgd(net, lo, hi, labels, targets, steps, restarts, rng, start=0):
     return best_x
 
 
-def reference_oracle(net, x, y, eps, budget_unstable=20, max_patterns=200_000, clip=(0.0, 1.0)):
+def reference_oracle(net, x, y, eps, budget_unstable=20, max_patterns=200_000):
     """The exact margin oracle as plain enumeration: the same walk as
     ``verify.exact_margin_oracle``, one LP per pattern and class with no
     pruning.  LPs go through ``verify.linprog``, so a test that patches it
@@ -109,7 +109,7 @@ def reference_oracle(net, x, y, eps, budget_unstable=20, max_patterns=200_000, c
 
     x = np.asarray(x, dtype=np.float64)
     elided = elide_final_layer(net, y)
-    box = box_from_ball(x, eps, clip)
+    box = box_from_ball(x, eps)
     lo0, hi0 = box.lo.reshape(-1), box.hi.reshape(-1)
     center, radius = 0.5 * (lo0 + hi0), 0.5 * (hi0 - lo0)
     collected = []

@@ -98,7 +98,7 @@ def test_criterion_1_soundness_suite():
             x = rng.uniform(0, 1, size=net.input_shape)
             eps = float(rng.uniform(0.01, 0.15))
             y = int(rng.integers(net.num_classes))
-            box = box_from_ball(x, eps, (0, 1))
+            box = box_from_ball(x, eps)
             pts = box.sample(1000, rng)
             elided = elide_final_layer(net, y)
             outs = forward_batch(elided, pts)
@@ -147,7 +147,7 @@ def test_criterion_2_oracle_sandwich():
         y = int(rng.integers(4))
         eps = 0.07
         res = exact_margin_oracle(net, x, y, eps)
-        box = box_from_ball(x, eps, (0, 1))
+        box = box_from_ball(x, eps)
         we, be = w - w[y], b - b[y]
         corner = we @ box.center + np.abs(we) @ box.radius + be
         expect = float(np.delete(corner, y).max())
@@ -452,7 +452,7 @@ def test_criterion_8_tightness_ordering():
     for i in range(len(test_ds)):
         x, y = test_ds.images[i], int(test_ds.labels[i])
         res = exact_margin_oracle(net, x, y, 0.08, budget_unstable=16,
-                                  max_patterns=100_000, clip=(0, 1))
+                                  max_patterns=100_000)
         if not res.exact:
             continue
         for m in errors:

@@ -35,8 +35,8 @@ def test_linear_model_attack_saturates_at_corner():
     w = np.array([[1.0, -2.0], [3.0, 1.0]])
     net = linear_net(w)
     x = np.array([[0.5, 0.5]])
-    cfg = AttackConfig(steps=3, restarts=1, step_size="auto", seed=1)
-    adv = pgd_input(net, x, np.array([0]), 0.05, cfg, clip=None)
+    cfg = AttackConfig(steps=3, restarts=1, seed=1)
+    adv = pgd_input(net, x, np.array([0]), 0.05, cfg)
     direction = np.sign(w[1] - w[0])
     np.testing.assert_allclose(adv, x + 0.05 * direction, atol=1e-9)
 
@@ -199,13 +199,28 @@ def test_sabr_region_subset_and_limits():
         assert np.all(region.hi <= np.minimum(x + eps, 1) + 1e-12)
 
 
+@pytest.mark.parametrize("tau_frac", [0.5, 1.0])
+def test_sabr_region_at_domain_edges(monkeypatch, tau_frac):
+    """B(c, tau) meets B(x, eps) and [0, 1] bit for bit for centres on and
+    next to the domain's edges; tau == eps centres the region at x."""
+    x = np.array([[0.0, 0.03, 0.97, 1.0]])
+    eps = 0.1
+    tau = tau_frac * eps
+    centres = np.array([[0.05, 0.0, 1.0, 0.95]]) if tau < eps else x
+    monkeypatch.setattr(attack, "pgd_input", lambda *a, **k: centres.copy())
+    region = sabr_select_region(linear_net(np.eye(4)), x, np.array([0]), eps, tau,
+                                AttackConfig(steps=2))
+    assert np.array_equal(region.lo, np.maximum(np.maximum(centres - tau, x - eps), 0.0))
+    assert np.array_equal(region.hi, np.minimum(np.minimum(centres + tau, x + eps), 1.0))
+
+
 def test_logit_diff_objective_targets_one_class():
     # maximizing o_target - o_y on a linear model moves along w_t - w_y
     w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     net = linear_net(w)
     x = np.array([[0.5, 0.5]])
-    cfg = AttackConfig(steps=3, step_size="auto", objective=("logit_diff", 2), seed=0)
-    adv = pgd_input(net, x, np.array([0]), 0.05, cfg, clip=None)
+    cfg = AttackConfig(steps=3, objective=("logit_diff", 2), seed=0)
+    adv = pgd_input(net, x, np.array([0]), 0.05, cfg)
     np.testing.assert_allclose(adv, x + 0.05 * np.sign(w[2] - w[0]), atol=1e-9)
 
 

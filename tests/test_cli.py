@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from certitrain.checkpoint import MAGIC, save_checkpoint
+from certitrain.checkpoint import MAGIC, VERSION, save_checkpoint
 from certitrain.cli import (
     Config,
     ConfigError,
@@ -190,14 +190,25 @@ def _unknown_kind(raw):
     header, blobs = _header(raw)
     header["layers"][1]["kind"] = "maxpool"
     text = json.dumps(header).encode()
-    return MAGIC + struct.pack("<II", 1, len(text)) + text + blobs
+    return MAGIC + struct.pack("<II", VERSION, len(text)) + text + blobs
+
+
+def _flip_payload_byte(raw):
+    # one bit of the first weight: a different network unless the digest is checked
+    _, blobs = _header(raw)
+    at = len(raw) - len(blobs)
+    return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :]
 
 
 # name -> (corrupt a good checkpoint's bytes, expected message)
 CORRUPTIONS = {
     "bad-magic": (lambda raw: b"NOPE" + b"\x00" * 32, "bad magic"),
     "short-header": (lambda raw: b"CTRNxx", "short header"),
-    "header-not-json": (lambda raw: MAGIC + struct.pack("<II", 1, 5) + b"{nope", "not UTF-8 JSON"),
+    "header-not-json": (lambda raw: MAGIC + struct.pack("<II", VERSION, 5) + b"{nope",
+                        "not UTF-8 JSON"),
+    "version-1": (lambda raw: raw[:4] + struct.pack("<I", 1) + raw[8:],
+                  "unsupported checkpoint version 1"),
+    "flipped-payload-byte": (_flip_payload_byte, "do not match the header's sha256"),
     "unknown-layer-kind": (_unknown_kind, "unknown layer kind 'maxpool'"),
     "truncated-blob": (lambda raw: raw[:-8], "truncated parameter blob"),
     "trailing-bytes": (lambda raw: raw + b"\x00", "trailing bytes"),

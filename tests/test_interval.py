@@ -28,18 +28,24 @@ def box_through(layer, box):
 
 
 def test_box_from_ball_basic():
-    b = box_from_ball(np.array([0.5]), 0.1, clip=(0, 1))
+    b = box_from_ball(np.array([0.5]), 0.1)
     np.testing.assert_allclose([b.lo[0], b.hi[0]], [0.4, 0.6])
 
 
 def test_box_from_ball_clipped():
-    b = box_from_ball(np.array([0.05]), 0.1, clip=(0, 1))
+    b = box_from_ball(np.array([0.05]), 0.1)
     np.testing.assert_allclose([b.lo[0], b.hi[0]], [0.0, 0.15])
+
+
+def test_box_from_ball_rejects_centre_outside_domain():
+    # [1.4, 1.6] misses [0, 1], so the intersection has lo > hi
+    with pytest.raises(ValueError, match="lo > hi"):
+        box_from_ball(np.array([1.5]), 0.1)
 
 
 def test_box_from_ball_degenerate():
     x = np.array([0.3, 0.7])
-    b = box_from_ball(x, 0.0, clip=(0, 1))
+    b = box_from_ball(x, 0.0)
     assert np.array_equal(b.lo, x) and np.array_equal(b.hi, x)
 
 
@@ -87,7 +93,7 @@ def test_extractor_mode_stops_at_split():
 
 
 def mc_soundness_violations(net, x, y, eps, n=1000, seed=0, slack=1e-9):
-    box = box_from_ball(x, eps, clip=(0, 1))
+    box = box_from_ball(x, eps)
     rng = np.random.default_rng(seed)
     samples = box.sample(n, rng)
     elided = elide_final_layer(net, y)
@@ -134,7 +140,7 @@ def test_single_affine_prefix_exact():
     layer = Affine(w, b)
     x = rng.uniform(0.2, 0.8, size=6)
     eps = 0.07
-    box = box_from_ball(x, eps, clip=None)
+    box = box_from_ball(x, eps)
     out = box_through(layer, box)
     # exact max per coordinate: choose the sign-matched corner
     corner_hi = w @ x + np.abs(w) @ (eps * np.ones(6)) + b
@@ -167,7 +173,7 @@ def test_bound_gradients_match_fd():
                 else:
                     lifted.append({"weight": tape.constant(layer.weight),
                                    "bias": tape.constant(layer.bias)})
-            box = box_from_ball(x[None], eps, clip=(0, 1))
+            box = box_from_ball(x[None], eps)
             out = propagate_box_on_tape(net, lifted, input_box_nodes(tape, box))
             mix = T.add(out.hi, T.scale(out.lo, 0.7))
             return T.sum_all(T.mul(mix, tape.constant(coeff[None, :])))

@@ -172,7 +172,7 @@ def test_staps_empty_classifier_is_sabr():
     net = random_mlp(rng, [5, 8, 3], split_relus=0)
     x = rng.uniform(0, 1, size=5)
     y = 0
-    region = box_from_ball(x[None], 0.04, (0, 1))
+    region = box_from_ball(x[None], 0.04)
     a = staps_loss(net, x, y, 0.1, 0.04, region=region)
     b = sabr_loss(net, x, y, 0.1, 0.04, region=region)
     assert abs(a - b) < 1e-12

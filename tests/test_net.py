@@ -97,7 +97,7 @@ def test_ibp_stable_radius_growth():
         )
         rng = np.random.default_rng(seed + 1000)
         x = rng.uniform(0.2, 0.8, size=64)
-        box = box_from_ball(x[None], eps, clip=None)
+        box = box_from_ball(x[None], eps)
         from certitrain.interval import propagate_box
 
         collected = []

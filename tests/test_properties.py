@@ -19,7 +19,7 @@ def test_interval_soundness_property(seed, eps):
     net = random_mlp(rng, [4, 8, 3], scale=float(rng.uniform(0.5, 2.0)))
     x = rng.uniform(0, 1, size=4)
     y = int(rng.integers(3))
-    box = box_from_ball(x, eps, (0, 1))
+    box = box_from_ball(x, eps)
     pts = box.sample(200, rng)
     outs = forward_batch(elide_final_layer(net, y), pts)
     b = ibp_bounds(net, x, y, eps)

@@ -378,7 +378,7 @@ def _cnn3_ibp_tape():
     y = np.array([0, 3, 1])
     tape = T.Tape()
     params = lift_params(tape, net)
-    box = box_from_ball(X, 0.05, (0.0, 1.0))
+    box = box_from_ball(X, 0.05)
     collected = []
     root = T.mean_all(ibp_loss_terms(tape, net, params, X, y, 0.05, box=box, collect=collected))
     root = T.add(root, T.scale(fast_regularizer_node(tape, net, params, box, 0.5,

@@ -53,7 +53,7 @@ def test_oracle_affine_only_equals_corner_formula():
         assert res.exact and res.n_unstable == 0
         we = w - w[y]
         be = b - b[y]
-        box = box_from_ball(x, eps, (0, 1))
+        box = box_from_ball(x, eps)
         c, r = box.center, box.radius
         corner = we @ c + np.abs(we) @ r + be
         expect = np.delete(corner, y).max()
@@ -61,17 +61,17 @@ def test_oracle_affine_only_equals_corner_formula():
 
 
 def test_oracle_one_relu_hand_enumeration():
-    """d(x) = 0.4 relu(x) + 0.6 relu(-x) on [-1, 1]: max is 0.6 at x = -1."""
+    """d(x) = 0.4 relu(x - 0.5) + 0.6 relu(0.5 - x) on [0, 1]: max is 0.3 at x = 0."""
     layers = [
-        Affine(np.array([[1.0], [-1.0]]), np.zeros(2)),
+        Affine(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5])),
         ReLU(),
         Affine(np.array([[0.0, 0.0], [0.4, 0.6]]), np.zeros(2)),
     ]
     net = Network(layers, len(layers), 2, (1,))
-    res = exact_margin_oracle(net, np.array([0.0]), 0, 1.0, clip=None)
+    res = exact_margin_oracle(net, np.array([0.5]), 0, 0.5)
     assert res.exact
     assert res.n_unstable == 2
-    assert abs(res.margin - 0.6) < 1e-9
+    assert abs(res.margin - 0.3) < 1e-9
 
 
 def test_oracle_respects_budget():
@@ -90,10 +90,10 @@ def test_oracle_solver_failure_returns_unknown(monkeypatch):
         status, x = 4, None
 
     monkeypatch.setattr(V, "linprog", lambda *a, **k: Failed())
-    layers = [Affine(np.array([[1.0], [-1.0]]), np.zeros(2)), ReLU(),
+    layers = [Affine(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5])), ReLU(),
               Affine(np.array([[0.0, 0.0], [0.4, 0.6]]), np.zeros(2))]
     net = Network(layers, len(layers), 2, (1,))
-    res = exact_margin_oracle(net, np.array([0.0]), 0, 1.0, clip=None)
+    res = exact_margin_oracle(net, np.array([0.5]), 0, 0.5)
     assert res == V.OracleResult("unknown", None, 2, 1, reason="LP solver status 4")
 
 
@@ -245,7 +245,7 @@ def _mlp_instances(seed, count, column=1.0):
         dims = [3, int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 5))]
         net = random_mlp(rng, dims, scale=float(rng.uniform(1.0, 2.0)))
         net.layers[0].weight[:, 2] *= column
-        yield net, rng.uniform(0.1, 0.9, size=3), int(rng.integers(dims[-1])), 0.06, (0.0, 1.0)
+        yield net, rng.uniform(0.1, 0.9, size=3), int(rng.integers(dims[-1])), 0.06
 
 
 def _near_tight_net(slack):
@@ -255,15 +255,15 @@ def _near_tight_net(slack):
     ``slack`` (active)."""
     layers = [Affine(np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([-slack, 0.0])), ReLU(),
               Affine(np.array([[0.0, 0.0], [0.5, 1.0]]), np.zeros(2))]
-    return Network(layers, len(layers), 2, (2,)), np.array([0.5, 0.5]), 0, 0.5, (0.0, 1.0)
+    return Network(layers, len(layers), 2, (2,)), np.array([0.5, 0.5]), 0, 0.5
 
 
 def _one_relu_net():
-    """0.4 relu(x) + 0.6 relu(-x) on [-1, 1]: the corners x = 1 and x = -1
-    answer the patterns (active, inactive) and (inactive, active)."""
-    layers = [Affine(np.array([[1.0], [-1.0]]), np.zeros(2)), ReLU(),
+    """0.4 relu(x - 0.5) + 0.6 relu(0.5 - x) on [0, 1]: the corners x = 1 and
+    x = 0 answer the patterns (active, inactive) and (inactive, active)."""
+    layers = [Affine(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5])), ReLU(),
               Affine(np.array([[0.0, 0.0], [0.4, 0.6]]), np.zeros(2))]
-    return Network(layers, len(layers), 2, (1,)), np.array([0.0]), 0, 1.0, None
+    return Network(layers, len(layers), 2, (1,)), np.array([0.5]), 0, 0.5
 
 
 def _spy_lp_points(monkeypatch):
@@ -298,11 +298,11 @@ def test_corner_answer_matches_plain_enumeration_bitwise(monkeypatch, case):
     not, the oracle equals plain enumeration bit for bit (repr)."""
     _, calls = _spy_lp_points(monkeypatch)
     seen = _spy_corner_test(monkeypatch)
-    for net, x, y, eps, clip in CORNER_CASES[case]():
+    for net, x, y, eps in CORNER_CASES[case]():
         del calls[:]
-        ref = reference_oracle(net, x, y, eps, budget_unstable=12, clip=clip)
+        ref = reference_oracle(net, x, y, eps, budget_unstable=12)
         plain = len(calls)
-        assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12, clip=clip)) == repr(ref)
+        assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12)) == repr(ref)
         if case == "near_tight":  # no corner meets its rows with the margin
             assert len(calls) - plain == plain
     answered = [m[k] for m, _, _, _, ans in seen for k in np.flatnonzero(ans)]
@@ -351,7 +351,7 @@ def test_corner_answers_are_the_solver_points(monkeypatch):
 
 
 def sample_margins(net, x, y, eps, n, seed):
-    box = box_from_ball(x, eps, (0, 1))
+    box = box_from_ball(x, eps)
     pts = box.sample(n, np.random.default_rng(seed))
     elided = elide_final_layer(net, y)
     outs = forward_batch(elided, pts)
@@ -473,7 +473,7 @@ def test_relaxed_dual_bound_holds_for_any_multipliers():
 
     rng = np.random.default_rng(12)
     net, x, y, eps, _, _ = _oracle_resolved_instances(12, 1)[0]
-    bb = V._BranchAndBound(net, y, box_from_ball(x, eps, (0, 1)))
+    bb = V._BranchAndBound(net, y, box_from_ball(x, eps))
     lp = V._TriangleLP(bb.relus, bb.x_lo, bb.x_hi)
     c = np.zeros(lp.n_vars)
     live = lp.out_col[-1] >= 0
@@ -571,7 +571,7 @@ def test_back_substitution_bounds_hold_in_exact_arithmetic():
                 layers.append(ReLU())
         net = Network(layers, len(layers), 3, (3,))
         x, y = rng.uniform(0.2, 0.8, size=3), int(rng.integers(3))
-        bb = V._BranchAndBound(net, y, box_from_ball(x, 0.4, (0, 1)))
+        bb = V._BranchAndBound(net, y, box_from_ball(x, 0.4))
         checked += len(bb.units) > 0
         for cls in range(3):
             if cls == y:
@@ -623,7 +623,7 @@ def test_method_bound_signs_against_oracle():
                                 attack=AttackConfig(steps=40, restarts=2, seed=trial))
         taps_m, _ = method_bound(net, x, y, eps, "taps",
                                  attack=AttackConfig(steps=40, seed=trial))
-        sabr_m, _ = method_bound(net, x, y, eps, "sabr", tau_ratio=0.4,
+        sabr_m, _ = method_bound(net, x, y, eps, "sabr",
                                  attack=AttackConfig(steps=20, seed=trial))
         assert ibp_m - res.margin >= -1e-9          # sound over-approximation
         assert pgd_m - res.margin <= 1e-9           # feasible-point under-approx
