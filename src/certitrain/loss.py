@@ -1,7 +1,11 @@
 """Training losses and the gradient-scaled product objective.
 
-Batched graph builders return per-sample loss nodes (shape (B,)); scalar
-convenience wrappers expose the single-sample operations.  The TAPS builders
+Every builder bounds the input box it is given, a :class:`BoxBounds`: the
+eps-ball from :func:`interval.box_from_ball`, or SABR's small region from
+:func:`attack.sabr_select_region`, which makes SABR and STAPS the IBP and
+TAPS losses over that region.  Batched graph builders return per-sample loss
+nodes (shape (B,)); scalar convenience wrappers expose the single-sample
+operations on a one-row box.  The TAPS builders
 share the extractor's interval propagation between the sound (full interval)
 and attacked (latent PGD + connector) branches so gradients for the extractor
 accumulate from both, which is exactly how the product objective trains.
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attack import AttackConfig, pgd_latent, sabr_select_region
+from .attack import AttackConfig, pgd_latent
 from .connector import ConnectorParams, connector_node
-from .interval import BoxBounds, box_from_ball, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
+from .interval import BoxBounds, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
 from .net import Network, ReLU, forward_on_tape, lift_params, param_grads
 
 __all__ = [
@@ -27,8 +31,6 @@ __all__ = [
     "margin_loss",
     "ibp_loss",
     "taps_loss",
-    "sabr_loss",
-    "staps_loss",
     "combined_gradient",
     "fast_regularizer",
     "l1_penalty",
@@ -108,23 +110,20 @@ def margin_loss(upper_diffs, y) -> float:
 # Batched graph builders
 # ---------------------------------------------------------------------------
 
-def ibp_loss_terms(tape, net, params, X, y, eps, box=None, collect=None) -> T.Node:
-    """Per-sample CE over elided interval bounds of the (possibly small) box."""
-    if box is None:
-        box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
+def ibp_loss_terms(tape, net, params, box: BoxBounds, y, collect=None) -> T.Node:
+    """Per-sample CE over elided interval bounds of ``box``."""
     last = len(net.layers) - 1
     out = propagate_box_on_tape(net, params, input_box_nodes(tape, box), stop=last, collect=collect)
     bounds = elided_bounds_on_tape(net, params, out, y, start=last)
     return bound_ce_terms(bounds.hi, y)
 
 
-def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
-                      connector=None, attack=None, rng=None, box=None,
-                      latent_provider=None):
+def paired_loss_terms(tape, net, params, box: BoxBounds, y, *, multi=True,
+                      connector=None, attack=None, rng=None, latent_provider=None):
     """Build (bound_terms, attacked_terms) sharing the extractor propagation.
 
-    ``bound_terms`` is the sound CE over full interval propagation of the
-    input box; ``attacked_terms`` replaces the classifier stage with latent
+    ``bound_terms`` is the sound CE over full interval propagation of
+    ``box``; ``attacked_terms`` replaces the classifier stage with latent
     adversarial points routed through the gradient connector.  With an empty
     classifier the attacked branch *is* the bound branch (same node), which
     realizes the degeneration to plain interval training.
@@ -133,8 +132,6 @@ def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
     attack = attack or AttackConfig()
     y = np.asarray(y, dtype=np.intp)
     split = net.split_index
-    if box is None:
-        box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
     tb = input_box_nodes(tape, box)
 
     if split >= len(net.layers):
@@ -176,52 +173,24 @@ def paired_loss_terms(tape, net, params, X, y, eps, *, multi=True,
 
 
 # ---------------------------------------------------------------------------
-# Scalar convenience wrappers (single sample)
+# Scalar convenience wrappers (single sample, one-row box)
 # ---------------------------------------------------------------------------
 
-def ibp_loss(net: Network, x, y, eps) -> float:
+def ibp_loss(net: Network, box: BoxBounds, y) -> float:
     tape = T.Tape()
     params = lift_params(tape, net)
-    terms = ibp_loss_terms(tape, net, params, np.asarray(x)[None], np.asarray([y]), eps)
+    terms = ibp_loss_terms(tape, net, params, box, np.asarray([y]))
     return float(terms.value[0])
 
 
-def taps_loss(net: Network, x, y, eps, multi=True, connector=None, attack=None,
+def taps_loss(net: Network, box: BoxBounds, y, multi=True, connector=None, attack=None,
               rng=None, latent_provider=None) -> float:
     tape = T.Tape()
     params = lift_params(tape, net)
     _, attacked = paired_loss_terms(
-        tape, net, params, np.asarray(x)[None], np.asarray([y]), eps,
+        tape, net, params, box, np.asarray([y]),
         multi=multi, connector=connector, attack=attack, rng=rng,
         latent_provider=latent_provider,
-    )
-    return float(attacked.value[0])
-
-
-def sabr_loss(net: Network, x, y, eps, tau, attack=None, rng=None, region=None) -> float:
-    attack = attack or AttackConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if region is None:
-        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau, attack, rng=rng)
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    terms = ibp_loss_terms(tape, net, params, None, np.asarray([y]), None, box=region)
-    return float(terms.value[0])
-
-
-def staps_loss(net: Network, x, y, eps, tau, multi=True, connector=None,
-               attack=None, rng=None, region=None, latent_provider=None) -> float:
-    attack = attack or AttackConfig()
-    x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(attack.seed) if rng is None else rng
-    if region is None:
-        region = sabr_select_region(net, x[None], np.asarray([y]), eps, tau, attack, rng=rng)
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    _, attacked = paired_loss_terms(
-        tape, net, params, None, np.asarray([y]), None,
-        multi=multi, connector=connector, attack=attack, rng=rng,
-        box=region, latent_provider=latent_provider,
     )
     return float(attacked.value[0])
 
@@ -230,7 +199,7 @@ def staps_loss(net: Network, x, y, eps, tau, multi=True, connector=None,
 # Combined objective
 # ---------------------------------------------------------------------------
 
-def combined_gradient(net: Network, X, y, eps, kind: LossKind, rng=None,
+def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng=None,
                       latent_provider=None):
     """Batch gradient of the product objective with alpha-scaled branches.
 
@@ -246,22 +215,17 @@ def combined_gradient(net: Network, X, y, eps, kind: LossKind, rng=None,
     """
     if not kind.uses_product:
         raise ValueError(f"combined_gradient applies to product losses, not {kind.tag}")
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    if X.shape[0] == 0:
+    if box.lo.shape[0] == 0:
         raise ValueError("empty batch")
     rng = np.random.default_rng(kind.attack.seed) if rng is None else rng
-
-    region = None
-    if kind.tag == "staps":
-        region = sabr_select_region(net, X, y, eps, kind.tau_ratio * eps, kind.attack, rng=rng)
 
     tape = T.Tape()
     params = lift_params(tape, net)
     bound_terms, attacked_terms = paired_loss_terms(
-        tape, net, params, X, y, eps,
+        tape, net, params, box, y,
         multi=kind.multi, connector=kind.connector, attack=kind.attack,
-        rng=rng, box=region, latent_provider=latent_provider,
+        rng=rng, latent_provider=latent_provider,
     )
     if np.any(attacked_terms.value > bound_terms.value + 1e-9):
         worst = float((attacked_terms.value - bound_terms.value).max())
@@ -339,11 +303,10 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
     return T.scale(T.add(_mean(tight_terms), _mean(balance_terms)), lam)
 
 
-def fast_regularizer(net: Network, X, eps, lam) -> float:
-    """Standalone value of the annealing regularizer for a batch."""
+def fast_regularizer(net: Network, box: BoxBounds, lam) -> float:
+    """Standalone value of the annealing regularizer for a batch's box."""
     tape = T.Tape()
     params = lift_params(tape, net)
-    box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
     node = fast_regularizer_node(tape, net, params, box, lam)
     return float(node.value)
 

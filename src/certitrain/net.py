@@ -39,7 +39,6 @@ __all__ = [
     "forward_concrete",
     "forward_batch",
     "elide_final_layer",
-    "fold_normalization",
     "lift_params",
     "param_grads",
     "forward_on_tape",
@@ -254,10 +253,6 @@ class Network:
         self.input_shape = tuple(input_shape)
 
     @property
-    def extractor(self):
-        return self.layers[: self.split_index]
-
-    @property
     def classifier(self):
         return self.layers[self.split_index :]
 
@@ -462,36 +457,6 @@ def elide_final_layer(net: Network, y: int) -> Network:
     bias = last.bias - last.bias[y]
     layers = net.layers[:-1] + (Affine(weight, bias),)
     return Network(layers, net.split_index, net.num_classes, net.input_shape)
-
-
-def fold_normalization(net: Network, mean, std) -> Network:
-    """Merge input standardization (x - mean) / std into the first linear layer.
-
-    Exact for an affine first layer, and for a conv first layer without
-    padding.  A padded conv cannot absorb the shift (zero padding is not a
-    normalized value), so that case is rejected rather than silently wrong.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    first = net.layers[0]
-    if isinstance(first, Affine):
-        m = np.broadcast_to(mean, (net.input_shape[0],)).ravel()
-        s = np.broadcast_to(std, (net.input_shape[0],)).ravel()
-        weight = first.weight / s[None, :]
-        bias = first.bias - weight @ m
-        new_first = Affine(weight, bias)
-    elif isinstance(first, Conv2d):
-        if first.padding and np.any(mean != 0.0):
-            raise ValueError("cannot fold a nonzero mean into a padded convolution")
-        c = net.input_shape[0]
-        m = np.broadcast_to(mean, (c,))
-        s = np.broadcast_to(std, (c,))
-        weight = first.weight / s[None, :, None, None]
-        bias = first.bias - np.einsum("ocij,c->o", weight, m)
-        new_first = Conv2d(weight, bias, first.stride, first.padding)
-    else:
-        raise ValueError("first layer must be affine or conv to fold normalization")
-    return Network((new_first,) + net.layers[1:], net.split_index, net.num_classes, net.input_shape)
 
 
 def forward_backward_input(net: Network, x, seed_grad, start=0, stop=None):

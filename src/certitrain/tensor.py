@@ -66,19 +66,6 @@ class Node:
     def __repr__(self):
         return f"Node(id={self.id}, op={self.op!r}, shape={self.value.shape})"
 
-    # Sugar for same-shape arithmetic; keeps loss assembly readable.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Tape:
     """Append-only record of nodes; creation order is a topological order.

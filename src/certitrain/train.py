@@ -212,13 +212,12 @@ class RunState:
 # One optimization step
 # ---------------------------------------------------------------------------
 
-def _bound_loss_grads(net, X, y, eps, *, region=None, reg_lambda=0.0, eps_frac=0.0):
-    """Gradient of mean bound loss (+ scaled regularizer during annealing)."""
+def _bound_loss_grads(net, box, y, *, reg_lambda=0.0, eps_frac=0.0):
+    """Gradient of mean bound loss over ``box`` (+ scaled regularizer during annealing)."""
     tape = T.Tape()
     params = lift_params(tape, net)
-    box = region if region is not None else box_from_ball(np.asarray(X, dtype=np.float64), eps)
     collected = []
-    terms = ibp_loss_terms(tape, net, params, X, y, eps, box=box, collect=collected)
+    terms = ibp_loss_terms(tape, net, params, box, y, collect=collected)
     root = T.mean_all(terms)
     bound_value = float(root.value)
     if reg_lambda > 0.0 and eps_frac > 0.0:
@@ -273,20 +272,21 @@ def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch):
         adv = X if eps == 0.0 else pgd_input(state.net, X, y, eps, kind.attack, rng=rng)
         grads, objective = _natural_grads(state.net, adv, y)
     else:
-        region = None
+        # the one input box this step bounds: SABR's small region or the eps-ball
         if kind.tag in ("sabr", "staps") and eps > 0.0:
-            tau = kind.tau_ratio * eps
-            region = sabr_select_region(state.net, X, y, eps, tau, kind.attack, rng=rng)
+            box = sabr_select_region(state.net, X, y, eps, kind.tau_ratio * eps, kind.attack, rng=rng)
+        else:
+            box = box_from_ball(X, eps)
         degenerate = state.net.split_index >= len(state.net.layers)
         if annealing or not kind.uses_product or degenerate:
             eps_frac = eps / sched.eps_target if annealing else 0.0
             grads, bound_value, objective = _bound_loss_grads(
-                state.net, X, y, eps, region=region,
+                state.net, box, y,
                 reg_lambda=config.fast_reg_lambda if annealing else 0.0,
                 eps_frac=eps_frac)
         else:
             state.taps_branch_steps += 1
-            grads, diag = combined_gradient(state.net, X, y, eps, kind, rng=rng)
+            grads, diag = combined_gradient(state.net, box, y, kind, rng=rng)
             bound_value = diag["bound_loss"]
             taps_value = diag["attacked_loss"]
             objective = diag["product"]

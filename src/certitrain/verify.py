@@ -848,7 +848,7 @@ def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None
         tape = T.Tape()
         params = lift_params(tape, net)
         bound, attacked = paired_loss_terms(
-            tape, net, params, X[i : i + 1], y[i : i + 1], eps,
+            tape, net, params, box_from_ball(X[i : i + 1], eps), y[i : i + 1],
             multi=multi, connector=connector, attack=attack, rng=rng)
         flat_f = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(attacked))])
         flat_g = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(bound))])

@@ -27,7 +27,7 @@ from certitrain.attack import AttackConfig, margin_targets, sabr_select_region
 from certitrain.connector import ConnectorParams, connector_node, connector_partials
 from certitrain.data import load_mnist_idx, synthetic_digits, synthetic_moons, take_subset
 from certitrain.interval import box_from_ball
-from certitrain.loss import LossKind, ibp_loss, paired_loss_terms, sabr_loss, staps_loss, taps_loss
+from certitrain.loss import LossKind, ibp_loss, paired_loss_terms, taps_loss
 from certitrain.net import (
     Affine,
     Conv2d,
@@ -201,11 +201,12 @@ def test_criterion_3_gradient_fidelity():
         X = rng.uniform(0.15, 0.85, size=(2, 3))
         yv = rng.integers(0, 3, size=2)
         eps = 0.04
+        box = box_from_ball(X, eps)
 
         def ibp_builder(tape, lifted):
             from certitrain.loss import ibp_loss_terms
 
-            return T.mean_all(ibp_loss_terms(tape, net, lifted, X, yv, eps))
+            return T.mean_all(ibp_loss_terms(tape, net, lifted, box, yv))
 
         err, n = _per_layer_fd(net, ibp_builder, rng=rng)
         if n and err > tol:
@@ -220,7 +221,7 @@ def test_criterion_3_gradient_fidelity():
 
         def taps_builder(tape, lifted):
             _, attacked = paired_loss_terms(
-                tape, net, lifted, X, yv, eps, multi=True,
+                tape, net, lifted, box, yv, multi=True,
                 connector=ConnectorParams(c=1.0), latent_provider=provider)
             return T.mean_all(attacked)
 
@@ -234,7 +235,7 @@ def test_criterion_3_gradient_fidelity():
         def sabr_builder(tape, lifted):
             from certitrain.loss import ibp_loss_terms
 
-            return T.mean_all(ibp_loss_terms(tape, net, lifted, None, yv, None, box=region))
+            return T.mean_all(ibp_loss_terms(tape, net, lifted, region, yv))
 
         err, n = _per_layer_fd(net, sabr_builder, rng=rng)
         if n and err > tol:
@@ -242,7 +243,7 @@ def test_criterion_3_gradient_fidelity():
 
         def combined_builder(tape, lifted):
             bound, attacked = paired_loss_terms(
-                tape, net, lifted, X, yv, eps, multi=True,
+                tape, net, lifted, box, yv, multi=True,
                 connector=ConnectorParams(c=1.0), latent_provider=provider)
             return T.mul(T.mean_all(attacked), T.mean_all(bound))
 
@@ -272,12 +273,13 @@ def test_criterion_4_loss_ordering():
         y = int(rng.integers(3))
         eps = float(rng.uniform(0.02, 0.12))
         cfg = AttackConfig(steps=3, seed=trial)
-        if taps_loss(net, x, y, eps, attack=cfg) > ibp_loss(net, x, y, eps) + ulp:
+        box = box_from_ball(x[None], eps)
+        if taps_loss(net, box, y, attack=cfg) > ibp_loss(net, box, y) + ulp:
             taps_viol += 1
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.5 * eps,
                                     AttackConfig(steps=2, seed=trial))
-        s = staps_loss(net, x, y, eps, 0.5 * eps, region=region, attack=cfg)
-        b = sabr_loss(net, x, y, eps, 0.5 * eps, region=region)
+        s = taps_loss(net, region, y, attack=cfg)
+        b = ibp_loss(net, region, y)
         if s > b + ulp:
             staps_viol += 1
 
@@ -290,8 +292,9 @@ def test_criterion_4_loss_ordering():
         x = rng.uniform(0, 1, size=2)
         y = int(rng.integers(3))
         eps = 0.12
-        multi = taps_loss(net, x, y, eps, multi=True, latent_provider=grid_provider(net))
-        single = taps_loss(net, x, y, eps, multi=False,
+        box = box_from_ball(x[None], eps)
+        multi = taps_loss(net, box, y, multi=True, latent_provider=grid_provider(net))
+        single = taps_loss(net, box, y, multi=False,
                            latent_provider=grid_provider_single(net))
         if multi < single - 1e-9:
             below += 1
@@ -466,8 +469,8 @@ def test_criterion_8_tightness_ordering():
     pgd_nonpos = all(e <= 1e-9 for e in errors["pgd"])
     ok = n >= 50 and taps_abs < ibp_abs and ibp_nonneg and pgd_nonpos
     report(8, ok,
-           f"{n} oracle-resolved samples; mean|err| taps={taps_abs:.4f} < "
-           f"ibp={ibp_abs:.4f}? {taps_abs < ibp_abs}; ibp errors all >=0: {ibp_nonneg}; "
+           f"{n} oracle-resolved samples; mean|err| taps={taps_abs:.3e} < "
+           f"ibp={ibp_abs:.3e}? {taps_abs < ibp_abs}; ibp errors all >=0: {ibp_nonneg}; "
            f"pgd errors all <=0: {pgd_nonpos}")
 
 

@@ -518,3 +518,15 @@ def test_main_smoke(tmp_path, capsys):
     ])
     assert rc == 0
     assert (tmp_path / "cli-run" / "final.ckpt").exists()
+
+
+def test_staps_at_epsilon_zero_trains(tmp_path):
+    """At eps 0 a STAPS step bounds the point box: no SABR region to pick."""
+    rc = main([
+        "train", "--dataset", "moons", "--subset", "150", "--loss", "staps",
+        "--tau-ratio", "0.4", "--epsilon", "0", "--hidden", "8,8",
+        "--total-epochs", "3", "--annealing-epochs", "2", "--decay1", "2", "--decay2", "3",
+        "--batch-size", "32", "--out", str(tmp_path / "staps0"), "--test-subset", "20",
+    ])
+    assert rc == 0
+    assert (tmp_path / "staps0" / "best.ckpt").exists()

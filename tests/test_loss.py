@@ -15,13 +15,16 @@ from certitrain.loss import (
     ibp_loss,
     l1_penalty,
     margin_loss,
-    sabr_loss,
-    staps_loss,
     taps_loss,
 )
 from certitrain.net import forward_batch, forward_concrete, init_params, build_architecture
 
 from helpers import random_mlp
+
+
+def ball(x, eps):
+    """One-row box of the eps-ball around a single sample."""
+    return box_from_ball(np.asarray(x)[None], eps)
 
 
 def test_ce_two_class_zero_diff():
@@ -42,7 +45,7 @@ def test_ibp_loss_eps_zero_equals_ce():
     net = random_mlp(rng, [5, 8, 4])
     x = rng.uniform(0, 1, size=5)
     for y in range(4):
-        assert abs(ibp_loss(net, x, y, 0.0) - ce_loss(forward_concrete(net, x), y)) < 1e-9
+        assert abs(ibp_loss(net, ball(x, 0.0), y) - ce_loss(forward_concrete(net, x), y)) < 1e-9
 
 
 def test_ibp_loss_linear_net_equals_worst_corner():
@@ -59,7 +62,7 @@ def test_ibp_loss_linear_net_equals_worst_corner():
     be = b - b[y]
     upper = we @ x + np.abs(we) @ (eps * np.ones(6)) + be
     expect = np.log1p(np.exp(np.delete(upper, y)).sum())
-    assert abs(ibp_loss(net, x, y, eps) - expect) < 1e-9
+    assert abs(ibp_loss(net, ball(x, eps), y) - expect) < 1e-9
 
 
 def test_ibp_loss_monotone_in_eps():
@@ -68,7 +71,7 @@ def test_ibp_loss_monotone_in_eps():
         net = random_mlp(rng, [4, 7, 3], scale=1.5)
         x = rng.uniform(0, 1, size=4)
         y = int(rng.integers(3))
-        losses = [ibp_loss(net, x, y, e) for e in (0.0, 0.02, 0.05, 0.1)]
+        losses = [ibp_loss(net, ball(x, e), y) for e in (0.0, 0.02, 0.05, 0.1)]
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:])), losses
 
 
@@ -78,8 +81,8 @@ def test_taps_equals_ibp_with_empty_classifier():
     assert net.split_index == len(net.layers)
     x = rng.uniform(0, 1, size=5)
     for y in range(3):
-        a = taps_loss(net, x, y, 0.08)
-        b = ibp_loss(net, x, y, 0.08)
+        a = taps_loss(net, ball(x, 0.08), y)
+        b = ibp_loss(net, ball(x, 0.08), y)
         assert abs(a - b) < 1e-12
 
 
@@ -88,7 +91,7 @@ def test_taps_loss_eps_zero_equals_ce():
     net = random_mlp(rng, [5, 8, 6, 3], split_relus=1)
     x = rng.uniform(0, 1, size=5)
     y = 2
-    got = taps_loss(net, x, y, 0.0, attack=AttackConfig(steps=3, seed=0))
+    got = taps_loss(net, ball(x, 0.0), y, attack=AttackConfig(steps=3, seed=0))
     assert abs(got - ce_loss(forward_concrete(net, x), y)) < 1e-9
 
 
@@ -139,9 +142,10 @@ def test_taps_orderings_with_grid_exact_latent_max():
         x = rng.uniform(0, 1, size=2)
         y = int(rng.integers(3))
         eps = 0.15
-        multi = taps_loss(net, x, y, eps, multi=True, latent_provider=grid_provider(net))
-        single = taps_loss(net, x, y, eps, multi=False, latent_provider=grid_provider_single(net))
-        full_ibp = ibp_loss(net, x, y, eps)
+        box = ball(x, eps)
+        multi = taps_loss(net, box, y, multi=True, latent_provider=grid_provider(net))
+        single = taps_loss(net, box, y, multi=False, latent_provider=grid_provider_single(net))
+        full_ibp = ibp_loss(net, box, y)
         assert multi >= single - 1e-9
         assert multi <= full_ibp + 1e-12
         assert single <= full_ibp + 1e-12
@@ -154,16 +158,19 @@ def test_taps_leq_ibp_with_pgd():
         x = rng.uniform(0, 1, size=5)
         y = int(rng.integers(4))
         cfg = AttackConfig(steps=5, seed=trial)
-        assert taps_loss(net, x, y, 0.1, attack=cfg) <= ibp_loss(net, x, y, 0.1) + 1e-12
+        assert taps_loss(net, ball(x, 0.1), y, attack=cfg) <= ibp_loss(net, ball(x, 0.1), y) + 1e-12
 
 
 def test_sabr_tau_equals_eps_is_ibp():
+    from certitrain.attack import sabr_select_region
+
     rng = np.random.default_rng(7)
     net = random_mlp(rng, [5, 8, 3])
     x = rng.uniform(0, 1, size=5)
     y = 1
-    a = sabr_loss(net, x, y, 0.1, 0.1, attack=AttackConfig(steps=4, seed=0))
-    b = ibp_loss(net, x, y, 0.1)
+    region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.1, AttackConfig(steps=4, seed=0))
+    a = ibp_loss(net, region, y)
+    b = ibp_loss(net, ball(x, 0.1), y)
     assert abs(a - b) < 1e-12
 
 
@@ -172,9 +179,9 @@ def test_staps_empty_classifier_is_sabr():
     net = random_mlp(rng, [5, 8, 3], split_relus=0)
     x = rng.uniform(0, 1, size=5)
     y = 0
-    region = box_from_ball(x[None], 0.04)
-    a = staps_loss(net, x, y, 0.1, 0.04, region=region)
-    b = sabr_loss(net, x, y, 0.1, 0.04, region=region)
+    region = ball(x, 0.04)
+    a = taps_loss(net, region, y)
+    b = ibp_loss(net, region, y)
     assert abs(a - b) < 1e-12
 
 
@@ -188,9 +195,8 @@ def test_staps_leq_sabr_paired_regions():
         y = int(rng.integers(3))
         region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.04,
                                     AttackConfig(steps=4, seed=trial))
-        s = staps_loss(net, x, y, 0.1, 0.04, region=region,
-                       attack=AttackConfig(steps=5, seed=trial))
-        b = sabr_loss(net, x, y, 0.1, 0.04, region=region)
+        s = taps_loss(net, region, y, attack=AttackConfig(steps=5, seed=trial))
+        b = ibp_loss(net, region, y)
         assert s <= b + 1e-12
 
 
@@ -221,7 +227,7 @@ def numeric_batch_grad(net, X, y, eps, kind, base_points, base_targets, step=1e-
         params = lift_params(tape, m)
         provider = relative_provider(base_points, base_targets)
         bound, attacked = paired_loss_terms(
-            tape, m, params, X, y, eps, multi=True, connector=ConnectorParams(c=1.0),
+            tape, m, params, box_from_ball(X, eps), y, multi=True, connector=ConnectorParams(c=1.0),
             latent_provider=provider)
         return float(np.mean(bound.value) * np.mean(attacked.value))
 
@@ -259,7 +265,7 @@ def test_combined_gradient_alpha_half_is_product_rule():
     rel = rng.uniform(0.2, 0.8, size=(4, t.shape[1], net.latent_shape[0]))
 
     kind = LossKind(tag="taps_multi", w_taps=1.0, connector=ConnectorParams(c=1.0))
-    grads, diag = combined_gradient(net, X, y, eps, kind,
+    grads, diag = combined_gradient(net, box_from_ball(X, eps), y, kind,
                                     latent_provider=relative_provider(rel, t))
     fd = numeric_batch_grad(net, X, y, eps, kind, rel, t)
     an = flatten_grads(grads)
@@ -286,7 +292,8 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
     provider = relative_provider(rel, t)
 
     inf_kind = LossKind(tag="taps_multi", w_taps=float("inf"))
-    g_inf, diag = combined_gradient(net, X, y, 0.05, inf_kind, latent_provider=provider)
+    box = box_from_ball(X, 0.05)
+    g_inf, diag = combined_gradient(net, box, y, inf_kind, latent_provider=provider)
 
     # reference: gradient of mean attacked loss alone, scaled by 2 * mean bound
     from certitrain.loss import paired_loss_terms
@@ -294,7 +301,7 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
 
     tape = T.Tape()
     params = lift_params(tape, net)
-    bound, attacked = paired_loss_terms(tape, net, params, X, y, 0.05, multi=True,
+    bound, attacked = paired_loss_terms(tape, net, params, box, y, multi=True,
                                         connector=ConnectorParams(),
                                         latent_provider=provider)
     gm = T.backward(tape, T.mean_all(attacked))
@@ -307,7 +314,7 @@ def test_fast_regularizer_zero_lambda():
     rng = np.random.default_rng(12)
     net = random_mlp(rng, [4, 6, 3])
     X = rng.uniform(0, 1, size=(5, 4))
-    assert fast_regularizer(net, X, 0.05, 0.0) == 0.0
+    assert fast_regularizer(net, box_from_ball(X, 0.05), 0.0) == 0.0
 
 
 def test_fast_regularizer_nonnegative():
@@ -315,7 +322,7 @@ def test_fast_regularizer_nonnegative():
     for trial in range(10):
         net = random_mlp(rng, [4, 8, 6, 3], scale=float(rng.uniform(0.5, 3)))
         X = rng.uniform(0, 1, size=(6, 4))
-        assert fast_regularizer(net, X, 0.1, 0.5) >= 0.0
+        assert fast_regularizer(net, box_from_ball(X, 0.1), 0.5) >= 0.0
 
 
 def test_fast_regularizer_prefers_balanced_stable_net():
@@ -330,13 +337,14 @@ def test_fast_regularizer_prefers_balanced_stable_net():
     layers = [Affine(w1, b1), ReLU(), Affine(rng.normal(size=(3, 2 * d)) * 0.05, np.zeros(3))]
     balanced = Network(layers, len(layers), 3, (d,))
     X = rng.uniform(0.3, 0.7, size=(10, d))
-    val_balanced = fast_regularizer(balanced, X, 0.05, 1.0)
+    box = box_from_ball(X, 0.05)
+    val_balanced = fast_regularizer(balanced, box, 1.0)
 
     vals_random = []
     base = build_architecture("mlp", (d,), 3, 0, hidden=(2 * d,))
     for seed in range(5):
         m = init_params(base, seed, "kaiming")
-        vals_random.append(fast_regularizer(m, X, 0.05, 1.0))
+        vals_random.append(fast_regularizer(m, box, 1.0))
     assert val_balanced <= min(vals_random) + 1e-9, (val_balanced, vals_random)
 
 

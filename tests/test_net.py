@@ -11,7 +11,6 @@ from certitrain.net import (
     ReLU,
     build_architecture,
     elide_final_layer,
-    fold_normalization,
     forward_batch,
     forward_concrete,
     init_params,
@@ -176,46 +175,3 @@ def test_elide_label_out_of_range():
     net = random_mlp(np.random.default_rng(0), [4, 3])
     with pytest.raises(ValueError, match="label"):
         elide_final_layer(net, 3)
-
-
-def test_fold_normalization_round_trip():
-    rng = np.random.default_rng(8)
-    mean, std = 0.3, 0.27
-    net = random_mlp(rng, [6, 8, 3])
-    folded = fold_normalization(net, mean, std)
-    for _ in range(10):
-        x = rng.uniform(0, 1, size=6)
-        direct = forward_concrete(net, (x - mean) / std)
-        via_fold = forward_concrete(folded, x)
-        np.testing.assert_allclose(via_fold, direct, atol=1e-10)
-
-
-def test_fold_normalization_conv_unpadded():
-    rng = np.random.default_rng(9)
-    layers = [
-        Conv2d(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), 1, 0),
-        ReLU(),
-        Flatten(),
-        Affine(rng.normal(size=(2, 4 * 3 * 3)) * 0.1, np.zeros(2)),
-    ]
-    net = Network(layers, len(layers), 2, (3, 5, 5))
-    mean = np.array([0.4, 0.5, 0.2])
-    std = np.array([0.2, 0.3, 0.25])
-    folded = fold_normalization(net, mean, std)
-    x = rng.uniform(0, 1, size=(2, 3, 5, 5))
-    direct = forward_batch(net, (x - mean[:, None, None]) / std[:, None, None])
-    via_fold = forward_batch(folded, x)
-    np.testing.assert_allclose(via_fold, direct, atol=1e-10)
-
-
-def test_fold_normalization_rejects_padded_conv_shift():
-    rng = np.random.default_rng(10)
-    layers = [
-        Conv2d(rng.normal(size=(2, 1, 3, 3)), np.zeros(2), 1, 1),
-        ReLU(),
-        Flatten(),
-        Affine(rng.normal(size=(2, 2 * 4 * 4)), np.zeros(2)),
-    ]
-    net = Network(layers, len(layers), 2, (1, 4, 4))
-    with pytest.raises(ValueError, match="padded"):
-        fold_normalization(net, 0.5, 1.0)

@@ -380,7 +380,7 @@ def _cnn3_ibp_tape():
     params = lift_params(tape, net)
     box = box_from_ball(X, 0.05)
     collected = []
-    root = T.mean_all(ibp_loss_terms(tape, net, params, X, y, 0.05, box=box, collect=collected))
+    root = T.mean_all(ibp_loss_terms(tape, net, params, box, y, collect=collected))
     root = T.add(root, T.scale(fast_regularizer_node(tape, net, params, box, 0.5,
                                                      collected=collected), 0.3))
     wanted = [node.id for entry in params if entry for node in entry.values()]

@@ -138,6 +138,33 @@ def test_annealing_never_touches_latent_pipeline():
     assert state.taps_branch_steps == total_steps - annealing_steps
 
 
+def test_staps_step_selects_one_region(tmp_path, monkeypatch):
+    """Each STAPS step with eps > 0 runs the SABR attack once, annealing or not."""
+    import sys
+
+    import certitrain.attack as attack
+
+    calls = []
+    original = attack.sabr_select_region
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("certitrain") and getattr(module, "sabr_select_region", None) is original:
+            monkeypatch.setattr(module, "sabr_select_region", counting)
+    ds = synthetic_moons(40, seed=5)  # 36 training samples: two steps per epoch
+    sched = small_schedule(total_epochs=3, annealing_epochs=1, warmup_epochs=0,
+                           decay_epochs=(1, 2), batch_size=18)
+    result = train_run(moons_config("staps", schedule=sched), ds, tmp_path)
+    steps = result["state"].step
+    positive = sum(epsilon_schedule(s, sched, 2) > 0.0 for s in range(steps))
+    assert (steps, positive, result["state"].taps_branch_steps) == (6, 5, 4)
+    assert len(calls) == positive
+    assert all(eps > 0.0 for eps in calls)
+
+
 def test_empty_classifier_taps_matches_ibp_bitwise(tmp_path):
     ds = synthetic_moons(150, seed=7)
     cfg_ibp = moons_config("ibp", classifier_relus=0, record_time=False)
