@@ -136,7 +136,11 @@ class Conv2d(Layer):
     """NCHW convolution lowered to one matmul against the channel-major patch
     matrix (C*kh*kw, B*OH*OW) of :func:`tensor.im2col`; the numpy ``forward``
     and ``input_vjp`` share their kernel with the taped :func:`tensor.conv2d`,
-    so the two paths agree bit for bit."""
+    so the two paths agree bit for bit.  The patch kernels copy or add each
+    kernel tap as one shifted slab of a stride-phase plane of the input, and
+    fix up the wrapped strips apart; see :func:`tensor.im2col` and
+    :func:`tensor.col2im` for the layout and the summation order that keeps
+    the results equal to a tap-by-tap scatter."""
 
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
     bias: np.ndarray    # (out_ch,)

@@ -12,6 +12,8 @@ shapes it accepts.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -99,8 +101,9 @@ class Tape:
         return self.leaf(value, op="const")
 
     def _note_kinks(self, distances):
-        if self.kink_tol is not None:
-            self.kink_hits += int(np.count_nonzero(distances < self.kink_tol))
+        """Count the ``distances`` below ``kink_tol``; callers build them only
+        when ``kink_tol`` is set."""
+        self.kink_hits += int(np.count_nonzero(distances < self.kink_tol))
 
 
 def _same_shape(op, a, b):
@@ -139,14 +142,16 @@ def add_scalar(a: Node, k: float) -> Node:
 
 def relu(a: Node) -> Node:
     av = a.value
-    a.tape._note_kinks(np.abs(av))
+    if a.tape.kink_tol is not None:
+        a.tape._note_kinks(np.abs(av))
     mask = av > 0.0
     return a.tape.node("relu", (a,), np.maximum(av, 0.0), lambda g: (g * mask,))
 
 
 def abs_(a: Node) -> Node:
     av = a.value
-    a.tape._note_kinks(np.abs(av))
+    if a.tape.kink_tol is not None:
+        a.tape._note_kinks(np.abs(av))
     sign = np.sign(av)  # sign(0) == 0: subgradient choice at the kink
     return a.tape.node("abs", (a,), np.abs(av), lambda g: (g * sign,))
 
@@ -154,7 +159,8 @@ def abs_(a: Node) -> Node:
 def maximum_scalar(a: Node, s: float) -> Node:
     s = float(s)
     av = a.value
-    a.tape._note_kinks(np.abs(av - s))
+    if a.tape.kink_tol is not None:
+        a.tape._note_kinks(np.abs(av - s))
     mask = av > s
     return a.tape.node("max_s", (a,), np.maximum(av, s), lambda g: (g * mask,))
 
@@ -162,7 +168,8 @@ def maximum_scalar(a: Node, s: float) -> Node:
 def clamp(a: Node, lo: float, hi: float) -> Node:
     lo, hi = float(lo), float(hi)
     av = a.value
-    a.tape._note_kinks(np.minimum(np.abs(av - lo), np.abs(av - hi)))
+    if a.tape.kink_tol is not None:
+        a.tape._note_kinks(np.minimum(np.abs(av - lo), np.abs(av - hi)))
     mask = (av >= lo) & (av <= hi)
     return a.tape.node("clamp", (a,), np.clip(av, lo, hi), lambda g: (g * mask,))
 
@@ -331,60 +338,156 @@ def _conv_geometry(x_shape, w_shape, stride, padding):
     return oh, ow
 
 
-def _tap_slices(k, size, out, stride, padding):
-    """Along one axis, for kernel tap ``k``: the output positions whose read
-    ``pos*stride + k - padding`` lands inside [0, size) rather than on the
-    zero padding, and the strided input slice they read."""
-    lo = min(out, max(0, -((k - padding) // stride)))
-    hi = max(lo, min(out, (size - 1 + padding - k) // stride + 1))
+def _reads(k, size, out, stride, padding):
+    """Along one axis, for kernel tap ``k``: the output positions in the slice
+    ``out`` whose read ``pos*stride + k - padding`` lands inside [0, size)
+    rather than on the zero padding, and the strided input slice they read."""
+    lo = max(out.start, -((k - padding) // stride))
+    hi = max(lo, min(out.stop, (size - 1 + padding - k) // stride + 1))
     start = lo * stride + k - padding
     return slice(lo, hi), slice(start, start + max(0, (hi - lo - 1) * stride + 1), stride)
 
 
-def _taps(h, w, kh, kw, stride, padding):
-    """(i, j, output window, input window) for every kernel tap, row-major."""
+def _kept(shift, out):
+    """Along one axis of length ``out``: the positions that a shift by
+    ``shift`` keeps inside the axis, as one slice."""
+    lo = min(out, max(0, -shift))
+    return slice(lo, max(lo, out - max(0, shift)))
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_plan(h, w, kh, kw, stride, padding):
+    """(i, j, phase, flat shift, strips) for every kernel tap, row-major.
+
+    Tap (i, j) with ``i - p = s*a + rh`` and ``j - p = s*b + rw`` reads phase
+    plane (rh, rw) shifted by ``a*OW + b`` flat entries (see :func:`im2col`).
+    Its strips are the disjoint rectangles of an (OH, OW) output map whose
+    shifted read wraps into a neighbouring row or sample: the |b| columns
+    outside the kept columns, whole (so that numpy runs one long inner loop
+    over samples and rows), then the |a| rows outside the kept rows on the
+    kept columns.  Each strip is ``(where, real, pixels)``: its (..., rows,
+    columns) index, then the index of its entries that read real pixels and
+    the index of those pixels in channel-major ``x`` (both None when there
+    are none).
+    """
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    col_taps = [_tap_slices(j, w, ow, stride, padding) for j in range(kw)]
+    every = slice(0, oh)
+    plan = []
     for i in range(kh):
-        r_out, r_in = _tap_slices(i, h, oh, stride, padding)
-        for j, (c_out, c_in) in enumerate(col_taps):
-            yield i, j, (r_out, c_out), (r_in, c_in)
+        a, rh = divmod(i - padding, stride)
+        rows = _kept(a, oh)
+        for j in range(kw):
+            b, rw = divmod(j - padding, stride)
+            cols = _kept(b, ow)
+            strips = []
+            for u, v in ((every, slice(0, cols.start)), (every, slice(cols.stop, ow)),
+                         (slice(0, rows.start), cols), (slice(rows.stop, oh), cols)):
+                if u.start == u.stop or v.start == v.stop:
+                    continue
+                (ru, rx), (cv, cx) = _reads(i, h, u, stride, padding), _reads(j, w, v, stride, padding)
+                if ru.start < ru.stop and cv.start < cv.stop:
+                    strips.append(((..., u, v), (..., ru, cv), (..., rx, cx)))
+                else:
+                    strips.append(((..., u, v), None, None))
+            plan.append((i, j, (rh, rw), a * ow + b, tuple(strips)))
+    return tuple(plan)
+
+
+def _phase_view(xt, phase, stride, oh, ow):
+    """The strided view of channel-major ``xt`` (C, B, H, W) that holds the
+    image part of phase plane ``phase``: at most OH rows and OW columns."""
+    return xt[:, :, phase[0]::stride, phase[1]::stride][:, :, :oh, :ow]
+
+
+def _shifted(n, shift):
+    """The slices ``to`` and ``frm`` of [0, n) with ``frm = to + shift``."""
+    count = max(0, n - abs(shift))
+    to, frm = max(0, -shift), max(0, shift)
+    return slice(to, to + count), slice(frm, frm + count)
 
 
 def im2col(x, kh, kw, stride, padding):
     """(B, C, H, W) -> channel-major patch matrix (C*kh*kw, B*OH*OW).
 
     Row ``(c*kh + i)*kw + j`` holds kernel tap (i, j) of channel c, so the
-    rows line up with ``weight.reshape(O, -1)``; column ``(b*OH + p)*OW + q``
-    is output position (p, q) of sample b.  The zero padding is written
-    straight into the patch buffer, without a padded copy of ``x``.
+    rows line up with ``weight.reshape(O, -1)``; column ``(b*OH + u)*OW + v``
+    is output position (u, v) of sample b.
+
+    The input is split by stride phase: plane (rh, rw) is a channel-major
+    (C, B*OH*OW) array holding ``x[b, c, s*u + rh, s*v + rw]``, zero outside
+    the image.  Tap (i, j), with ``i - p = s*a + rh`` and ``j - p = s*b + rw``,
+    is that plane shifted by ``a*OW + b`` in flat (b, u, v) order, so its whole
+    block is one contiguous copy.  The shift wraps at most |a| rows and |b|
+    columns of each output map into a neighbouring row or sample; these
+    strips are then rewritten from ``x``, or zero where they read padding
+    (real pixels can lie past an OH x OW plane).  Every entry is a copy.
     """
     b, c, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
+    n = b * oh * ow
     xt = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, b, oh, ow), dtype=np.float64)
-    for i, j, window, inner in _taps(h, w, kh, kw, stride, padding):
-        dst = cols[:, i, j]
-        if window != (slice(0, oh), slice(0, ow)):
-            dst.fill(0.0)  # part of this tap reads padding
-        dst[(..., *window)] = xt[(..., *inner)]
-    return cols.reshape(c * kh * kw, b * oh * ow)
+    cols = np.empty((c, kh, kw, n), dtype=np.float64)
+    planes = {}
+    for i, j, phase, shift, strips in _tap_plan(h, w, kh, kw, stride, padding):
+        plane = planes.get(phase)
+        if plane is None:
+            plane = planes[phase] = np.zeros((c, b, oh, ow), dtype=np.float64)
+            image = _phase_view(xt, phase, stride, oh, ow)
+            plane[:, :, :image.shape[2], :image.shape[3]] = image
+        to, frm = _shifted(n, shift)
+        cols[:, i, j, to] = plane.reshape(c, n)[:, frm]
+        block = cols[:, i, j].reshape(c, b, oh, ow)
+        for where, real, pixels in strips:
+            block[where] = 0.0
+            if real is not None:
+                block[real] = xt[pixels]
+    return cols.reshape(c * kh * kw, n)
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):
     """Adjoint of :func:`im2col`: scatter-add a (C*kh*kw, B*OH*OW) patch
-    matrix back onto a C-contiguous (B, C, H, W) array, tap by tap in
-    row-major order; entries that :func:`im2col` read from padding drop out."""
+    matrix back onto a C-contiguous (B, C, H, W) array; entries that
+    :func:`im2col` read from padding drop out.  ``cols`` is left unchanged.
+
+    Each tap's block is added as one shifted slab into the phase plane it
+    was read from, and the planes are copied into the image at the end.
+    The block's wrapped strips are first added straight to their pixels
+    where those are real (pixels past an OH x OW plane, which get no other
+    contribution), then zeroed in a scratch copy of the block before the
+    slab add.  Taps go in row-major order, so every pixel sums its taps in
+    the same order, from +0.0, as a tap-by-tap scatter does, and the result
+    is bit-identical to it: the zeros added in place of the strips change
+    no sum.
+    """
     b, c, h, w = x_shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(c, kh, kw, b, oh, ow)
+    n = b * oh * ow
+    cols = cols.reshape(c, kh, kw, n)
     x = np.zeros(x_shape, dtype=np.float64)
     xt = x.transpose(1, 0, 2, 3)
-    for i, j, window, inner in _taps(h, w, kh, kw, stride, padding):
-        xt[(..., *inner)] += cols[(slice(None), i, j, Ellipsis, *window)]
+    planes = {}
+    scratch = np.empty((c, n), dtype=np.float64)
+    for i, j, phase, shift, strips in _tap_plan(h, w, kh, kw, stride, padding):
+        block = cols[:, i, j]
+        if strips:
+            np.copyto(scratch, block)
+            given, kept = block.reshape(c, b, oh, ow), scratch.reshape(c, b, oh, ow)
+            for where, real, pixels in strips:
+                if real is not None:
+                    xt[pixels] += given[real]
+                kept[where] = 0.0
+            block = scratch
+        plane = planes.get(phase)
+        if plane is None:
+            plane = planes[phase] = np.zeros((c, n), dtype=np.float64)
+        to, frm = _shifted(n, shift)
+        plane[:, frm] += block[:, to]
+    for phase, plane in planes.items():
+        image = _phase_view(xt, phase, stride, oh, ow)
+        image[...] = plane.reshape(c, b, oh, ow)[:, :, :image.shape[2], :image.shape[3]]
     return x
 
 
@@ -403,7 +506,9 @@ def conv_forward(x, w, b, stride, padding):
 def conv_input_vjp(g, w, x_shape, stride, padding):
     """Input gradient of a convolution from its (B, O, OH, OW) output
     gradient: the patch gradient ``wmat.T @ gm``, with ``gm`` the gradient
-    channel-major (O, B*OH*OW), scattered back by :func:`col2im`."""
+    channel-major (O, B*OH*OW), scattered back by :func:`col2im`.  Each input
+    element sums its kernel taps in row-major (i, j) order from +0.0, the
+    order a tap-by-tap scatter uses, whatever the stride-phase split."""
     oc, _, kh, kw = w.shape
     gm = g.transpose(1, 0, 2, 3).reshape(oc, -1)
     return col2im(w.reshape(oc, -1).T @ gm, x_shape, kh, kw, stride, padding)
@@ -423,7 +528,14 @@ def conv2d(x: Node, w: Node, b: Node, stride: int, padding: int) -> Node:
     because, for small operands, OpenBLAS rounds the two orientations
     differently; this one matches earlier releases bit for bit on the cnn3
     and cnn7 layers at every batch size checked.  The patch product is
-    channel-major so that :func:`col2im` reads it contiguously.
+    channel-major so that :func:`col2im` reads each tap's block as one
+    contiguous (C, B*OH*OW) slab.
+
+    The patch kernels work on stride-phase planes: each tap's block is one
+    shifted slab of the plane it reads, with the few wrapped rows and columns
+    (the strips) written or added separately.  Every patch entry is a copy
+    and every input-gradient element sums its taps in row-major order, so
+    the plane split changes no bit of any result.
     """
     xv, wv, bv = x.value, w.value, b.value
     if xv.ndim != 4 or wv.ndim != 4:
@@ -462,8 +574,9 @@ def elided_abs_linear(delta: Node, w: Node, idx) -> Node:
     if idx.shape != (dv.shape[0],):
         raise ShapeError(f"elided_abs_linear: labels {idx.shape} for batch {dv.shape[0]}")
     diff = wv[None, :, :] - wv[idx][:, None, :]         # (B, K, n)
-    delta.tape._note_kinks(np.abs(diff))
     absdiff = np.abs(diff)
+    if delta.tape.kink_tol is not None:
+        delta.tape._note_kinks(absdiff)
     out = np.einsum("bn,bkn->bk", dv, absdiff, optimize=True)
 
     def bwd(g):

@@ -1,5 +1,5 @@
-"""Shared builders for randomized test networks, a sequential PGD reference and
-the plain-enumeration margin oracle."""
+"""Shared builders for randomized test networks, tap-by-tap convolution patch
+kernels, a sequential PGD reference and the plain-enumeration margin oracle."""
 
 import numpy as np
 
@@ -58,6 +58,57 @@ def dyadic_mlp(rng, dims, num_classes=None, split_relus=0):
 
     split = split_for_classifier_relus(layers, split_relus)
     return Network(layers, split, num_classes or dims[-1], (dims[0],))
+
+
+def _tap_slices(k, size, out, stride, padding):
+    """Along one axis, for kernel tap ``k``: the output positions whose read
+    ``pos*stride + k - padding`` lands inside [0, size) rather than on the
+    zero padding, and the strided input slice they read."""
+    lo = min(out, max(0, -((k - padding) // stride)))
+    hi = max(lo, min(out, (size - 1 + padding - k) // stride + 1))
+    start = lo * stride + k - padding
+    return slice(lo, hi), slice(start, start + max(0, (hi - lo - 1) * stride + 1), stride)
+
+
+def _taps(h, w, kh, kw, stride, padding):
+    """(i, j, output window, input window) for every kernel tap, row-major."""
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    col_taps = [_tap_slices(j, w, ow, stride, padding) for j in range(kw)]
+    for i in range(kh):
+        r_out, r_in = _tap_slices(i, h, oh, stride, padding)
+        for j, (c_out, c_in) in enumerate(col_taps):
+            yield i, j, (r_out, c_out), (r_in, c_in)
+
+
+def reference_im2col(x, kh, kw, stride, padding):
+    """``tensor.im2col`` tap by tap: each tap's window is one strided copy
+    whose inner loop covers one output row, the padding written as zeros."""
+    b, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    xt = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, b, oh, ow), dtype=np.float64)
+    for i, j, window, inner in _taps(h, w, kh, kw, stride, padding):
+        dst = cols[:, i, j]
+        if window != (slice(0, oh), slice(0, ow)):
+            dst.fill(0.0)  # part of this tap reads padding
+        dst[(..., *window)] = xt[(..., *inner)]
+    return cols.reshape(c * kh * kw, b * oh * ow)
+
+
+def reference_col2im(cols, x_shape, kh, kw, stride, padding):
+    """``tensor.col2im`` tap by tap: scatter-add each tap's window onto a zero
+    (B, C, H, W) array in row-major tap order."""
+    b, c, h, w = x_shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    cols = cols.reshape(c, kh, kw, b, oh, ow)
+    x = np.zeros(x_shape, dtype=np.float64)
+    xt = x.transpose(1, 0, 2, 3)
+    for i, j, window, inner in _taps(h, w, kh, kw, stride, padding):
+        xt[(..., *inner)] += cols[(slice(None), i, j, Ellipsis, *window)]
+    return x
 
 
 def reference_pgd(net, lo, hi, labels, targets, steps, restarts, rng, start=0):

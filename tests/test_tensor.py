@@ -10,6 +10,7 @@ from certitrain import tensor as T
 from certitrain.interval import box_from_ball
 from certitrain.loss import fast_regularizer_node, ibp_loss_terms
 from certitrain.net import build_architecture, init_params, lift_params
+from helpers import reference_col2im, reference_im2col
 
 
 def scalar_tape():
@@ -102,6 +103,70 @@ def test_col2im_is_adjoint_of_im2col(kh, kw, stride, padding):
     back = T.col2im(c, x_shape, kh, kw, stride, padding)
     assert back.shape == x_shape
     np.testing.assert_allclose(np.vdot(back, x), np.vdot(cols, c), rtol=1e-12)
+
+
+def _assert_patch_kernels_match_reference(rng, x_shape, kh, kw, stride, padding):
+    """im2col and col2im equal the tap-by-tap reference bit for bit; col2im
+    leaves its argument as it found it and returns a C-contiguous array."""
+    where = f"x {x_shape}, kernel {kh}x{kw}, stride {stride}, padding {padding}"
+    x = rng.normal(size=x_shape)
+    cols = T.im2col(x, kh, kw, stride, padding)
+    ref = reference_im2col(x, kh, kw, stride, padding)
+    assert np.array_equal(cols, ref) and cols.tobytes() == ref.tobytes(), where
+    g = rng.normal(size=cols.shape)
+    before = g.tobytes()
+    back = T.col2im(g, x_shape, kh, kw, stride, padding)
+    assert g.tobytes() == before, f"col2im wrote into its argument: {where}"
+    assert back.flags["C_CONTIGUOUS"], where
+    ref = reference_col2im(g, x_shape, kh, kw, stride, padding)
+    assert np.array_equal(back, ref) and back.tobytes() == ref.tobytes(), where
+
+
+PATCH_KERNELS = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (1, 4), (3, 2), (5, 3)]
+# odd and even H and W; (6, 9) with a 4x4 kernel, stride 2 and padding 1 reads
+# column 8, past the 4-wide stride-phase planes
+PATCH_INPUTS = [(2, 2, 6, 9), (1, 3, 7, 8), (3, 1, 5, 5), (2, 2, 8, 6)]
+
+
+@pytest.mark.parametrize("kh,kw", PATCH_KERNELS, ids=[f"{kh}x{kw}" for kh, kw in PATCH_KERNELS])
+def test_patch_kernels_match_tap_by_tap_reference(kh, kw):
+    rng = np.random.default_rng(100 + 10 * kh + kw)
+    for x_shape in PATCH_INPUTS:
+        for stride in (1, 2, 3):
+            for padding in (0, 1, 2):
+                if min(x_shape[2] + 2 * padding - kh, x_shape[3] + 2 * padding - kw) < 0:
+                    continue  # empty output
+                _assert_patch_kernels_match_reference(rng, x_shape, kh, kw, stride, padding)
+
+
+# cnn3's two layers at every batch size its training sees (115 is the last
+# batch of the benchmark's epoch), and cnn7's stride-2 layer
+LAYER_PATCHES = [(f"cnn3-conv{k + 1}-B{b}", (b,) + chw, 4, 2, 1)
+                 for k, chw in enumerate([(1, 28, 28), (16, 14, 14)]) for b in (1, 5, 115, 128)]
+LAYER_PATCHES.append(("cnn7-conv3-B3", (3, 64, 28, 28), 3, 2, 1))
+
+
+@pytest.mark.parametrize("x_shape,k,stride,padding", [c[1:] for c in LAYER_PATCHES],
+                         ids=[c[0] for c in LAYER_PATCHES])
+def test_patch_kernels_bit_identical_on_layer_shapes(x_shape, k, stride, padding):
+    rng = np.random.default_rng(x_shape[0] + x_shape[1])
+    _assert_patch_kernels_match_reference(rng, x_shape, k, k, stride, padding)
+
+
+def test_kink_distances_only_on_tapes_that_count_kinks(monkeypatch):
+    """A default tape counts no kinks, so the piecewise primitives must not
+    build the distance arrays that counting reads."""
+    def refuse(self, distances):
+        raise AssertionError("kink distances built on a tape without kink_tol")
+
+    monkeypatch.setattr(T.Tape, "_note_kinks", refuse)
+    tape = T.Tape()
+    x = tape.leaf(np.array([[-1.0, 0.25, 2.0]]))
+    T.relu(x)
+    T.abs_(x)
+    T.maximum_scalar(x, 0.5)
+    T.clamp(x, 0.0, 1.0)
+    T.elided_abs_linear(x, tape.leaf(np.arange(6.0).reshape(2, 3)), [1])
 
 
 def test_shape_mismatch_is_descriptive():
