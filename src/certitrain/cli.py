@@ -507,8 +507,7 @@ def cmd_ablate(config: Config, sweep, values) -> str:
                                   AttackConfig(steps=cfg.attack_steps, seed=cfg.seed + 3),
                                   rng=np.random.default_rng(cfg.seed + 4))
             adv = adversarial_accuracy(net, test_ds.images, test_ds.labels, cfg.epsilon,
-                                       cfg.eval_attack(),
-                                       rng=np.random.default_rng(cfg.seed + 5))
+                                       cfg.eval_attack())
             cert = float(np.mean(_certified_mask(net, test_ds.images, test_ds.labels,
                                                  cfg.epsilon)))
             fh.write(f"{sweep},{value},{cfg.seed},{nat!r},{t_acc!r},{adv!r},{cert!r}\n")

@@ -191,15 +191,13 @@ def _glyph_array(digit):
     return np.array([[int(ch) for ch in row] for row in rows], dtype=np.float64)
 
 
-def _box_blur(img, passes=1):
-    for _ in range(passes):
-        padded = np.pad(img, 1)
-        img = (
-            padded[:-2, :-2] + padded[:-2, 1:-1] + padded[:-2, 2:]
-            + padded[1:-1, :-2] + padded[1:-1, 1:-1] + padded[1:-1, 2:]
-            + padded[2:, :-2] + padded[2:, 1:-1] + padded[2:, 2:]
-        ) / 9.0
-    return img
+def _box_blur(img):
+    padded = np.pad(img, 1)
+    return (
+        padded[:-2, :-2] + padded[:-2, 1:-1] + padded[:-2, 2:]
+        + padded[1:-1, :-2] + padded[1:-1, 1:-1] + padded[1:-1, 2:]
+        + padded[2:, :-2] + padded[2:, 1:-1] + padded[2:, 2:]
+    ) / 9.0
 
 
 def synthetic_digits(n, seed=0) -> Dataset:

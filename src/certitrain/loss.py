@@ -81,8 +81,7 @@ class LossKind:
 
 def ce_terms(logits: T.Node, y) -> T.Node:
     """Per-sample cross-entropy from logits via the logit-difference form."""
-    diffs = T.sub_col_pick(logits, y)
-    return T.log1p_sum_exp_rows(T.drop_col(diffs, y))
+    return bound_ce_terms(T.sub_col_pick(logits, y), y)
 
 
 def bound_ce_terms(upper_diffs: T.Node, y) -> T.Node:
@@ -98,12 +97,15 @@ def ce_loss(logits, y) -> float:
     return float(node.value[0])
 
 
-def margin_loss(upper_diffs, y) -> float:
-    """Maximum non-label logit-difference bound; < 0 certifies the sample."""
-    upper_diffs = np.asarray(upper_diffs, dtype=np.float64)
-    mask = np.ones(upper_diffs.shape[-1], dtype=bool)
-    mask[y] = False
-    return float(upper_diffs[..., mask].max())
+def margin_loss(upper_diffs, y):
+    """Maximum non-label logit-difference bound; < 0 certifies the sample.
+
+    ``upper_diffs`` is one sample's (K,) vector with a scalar label, or (N, K)
+    rows with one label per row, which gives the (N,) row maxima.
+    """
+    diffs = np.asarray(upper_diffs, dtype=np.float64)
+    return np.where(np.arange(diffs.shape[-1]) == np.asarray(y)[..., None], -np.inf,
+                    diffs).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -294,39 +294,24 @@ class Network:
 # Architectures
 # ---------------------------------------------------------------------------
 
-def _mlp_layers(input_dim, hidden, num_classes):
-    dims = [input_dim] + list(hidden)
-    layers = []
-    for a, b in zip(dims, dims[1:]):
-        layers.append(Affine(np.zeros((b, a)), np.zeros(b)))
-        layers.append(ReLU())
-    layers.append(Affine(np.zeros((num_classes, dims[-1])), np.zeros(num_classes)))
-    return layers
-
-
-def _conv_stack(input_shape, spec, num_classes):
-    """spec: list of ('conv', out_ch, k, stride, pad) / ('fc', width) entries."""
+def _stack(input_shape, spec, num_classes):
+    """The layers of ``spec``, a list of ('conv', out_ch, k, stride, pad) and
+    ('fc', width) entries, each followed by a ReLU, then the final affine
+    layer; a Flatten precedes the first affine layer on image-shaped input."""
     layers = []
     shape = tuple(input_shape)
-    for entry in spec:
+    for entry in [*spec, ("fc", num_classes)]:
         if entry[0] == "conv":
             _, oc, k, stride, pad = entry
             layers.append(Conv2d(np.zeros((oc, shape[0], k, k)), np.zeros(oc), stride, pad))
-            shape = layers[-1].out_shape(shape)
-            layers.append(ReLU())
         else:
-            _, width = entry
             if len(shape) > 1:
                 layers.append(Flatten())
                 shape = layers[-1].out_shape(shape)
-            layers.append(Affine(np.zeros((width, shape[0])), np.zeros(width)))
-            shape = (width,)
-            layers.append(ReLU())
-    if len(shape) > 1:
-        layers.append(Flatten())
+            layers.append(Affine(np.zeros((entry[1], shape[0])), np.zeros(entry[1])))
         shape = layers[-1].out_shape(shape)
-    layers.append(Affine(np.zeros((num_classes, shape[0])), np.zeros(num_classes)))
-    return layers
+        layers.append(ReLU())
+    return layers[:-1]  # no ReLU after the final affine layer
 
 
 def split_for_classifier_relus(layers, classifier_relu_count):
@@ -353,8 +338,8 @@ def split_for_classifier_relus(layers, classifier_relu_count):
     return split
 
 
-# The convolutional architectures as ``_conv_stack`` specs; every entry is
-# followed by a ReLU.
+# The convolutional architectures as ``_stack`` specs; the mlp's spec is one
+# fc entry per hidden width.
 _CONV_SPECS = {
     "cnn3": [("conv", 16, 4, 2, 1), ("conv", 32, 4, 2, 1), ("fc", 100)],
     "cnn7": [("conv", 64, 3, 1, 1), ("conv", 64, 3, 1, 1), ("conv", 128, 3, 2, 1),
@@ -363,9 +348,17 @@ _CONV_SPECS = {
 ARCHITECTURES = ("mlp", *_CONV_SPECS)
 
 
+def _spec(name, hidden):
+    if name == "mlp":
+        return [("fc", width) for width in hidden]
+    if name not in _CONV_SPECS:
+        raise ValueError(f"unknown architecture {name!r} (expected one of {ARCHITECTURES})")
+    return _CONV_SPECS[name]
+
+
 def relu_layer_count(name, hidden=(128, 128)):
     """ReLU layers of a named architecture: the most classifier ReLUs it has."""
-    return len(hidden) if name == "mlp" else len(_CONV_SPECS[name])
+    return len(_spec(name, hidden))
 
 
 def build_architecture(name, input_shape, num_classes, classifier_relu_count, hidden=(128, 128)):
@@ -377,14 +370,7 @@ def build_architecture(name, input_shape, num_classes, classifier_relu_count, hi
     two FC layers (512, out), 6 ReLUs.  No batch normalization anywhere.
     """
     input_shape = tuple(int(s) for s in input_shape)
-    if name == "mlp":
-        layers = _mlp_layers(int(np.prod(input_shape)), hidden, num_classes)
-        if len(input_shape) != 1:
-            layers = [Flatten()] + layers
-    elif name in _CONV_SPECS:
-        layers = _conv_stack(input_shape, _CONV_SPECS[name], num_classes)
-    else:
-        raise ValueError(f"unknown architecture {name!r} (expected one of {ARCHITECTURES})")
+    layers = _stack(input_shape, _spec(name, hidden), num_classes)
     split = split_for_classifier_relus(layers, classifier_relu_count)
     return Network(layers, split, num_classes, input_shape)
 
@@ -500,14 +486,13 @@ def param_grads(tape: T.Tape, params, root: T.Node):
     return [grad_map[nid] for nid in ids]
 
 
-def forward_on_tape(net: Network, params, x: T.Node, start=0, stop=None) -> T.Node:
-    """Differentiable batched forward through layers[start:stop].
+def forward_on_tape(net: Network, params, x: T.Node, start=0) -> T.Node:
+    """Differentiable batched forward through layers[start:].
 
     ``params`` comes from :func:`lift_params` (so parameter gradients are
     addressable); ``x`` is a (B, ...) node on the same tape.
     """
-    stop = len(net.layers) if stop is None else stop
     out = x
-    for i in range(start, stop):
-        out = net.layers[i].forward_on_tape(out, params[i])
+    for layer, p in zip(net.layers[start:], params[start:]):
+        out = layer.forward_on_tape(out, p)
     return out

@@ -20,9 +20,10 @@ from .attack import AttackConfig, ce_rows, pgd_input, pgd_latent, sabr_select_re
 from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
 from .interval import box_from_ball, elided_bounds, propagate_box
-from .loss import LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms, l1_penalty
-from .net import (ARCHITECTURES, INIT_MODES, Network, build_architecture, forward_batch,
-                  forward_on_tape, init_params, lift_params, param_grads, relu_layer_count)
+from .loss import (LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms,
+                   l1_penalty, margin_loss)
+from .net import (INIT_MODES, Network, build_architecture, forward_batch, forward_on_tape,
+                  init_params, lift_params, param_grads, relu_layer_count)
 
 __all__ = [
     "Schedule",
@@ -176,14 +177,13 @@ class TrainConfig:
     record_time: bool = True  # switch off for byte-identical metrics CSVs
 
     def __post_init__(self):
-        for what, name, names in (("architecture", self.arch, ARCHITECTURES),
-                                  ("init mode", self.init, INIT_MODES),
+        for what, name, names in (("init mode", self.init, INIT_MODES),
                                   ("optimizer", self.optimizer, tuple(OPTIMIZERS))):
             if name not in names:
                 raise ValueError(f"unknown {what} {name!r} (expected one of {names})")
         if not all(w >= 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
-        relus = relu_layer_count(self.arch, self.hidden)
+        relus = relu_layer_count(self.arch, self.hidden)  # rejects an unknown arch
         if not 0 <= self.classifier_relus <= relus:
             raise ValueError(f"classifier_relus must lie in [0, {relus}] (the network's "
                              f"ReLU layers), got {self.classifier_relus}")
@@ -269,7 +269,7 @@ def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch):
     if kind.tag == "natural":
         grads, objective = _natural_grads(state.net, X, y)
     elif kind.tag == "pgd_at":
-        adv = X if eps == 0.0 else pgd_input(state.net, X, y, eps, kind.attack, rng=rng)
+        adv = pgd_input(state.net, X, y, eps, kind.attack, rng=rng)
         grads, objective = _natural_grads(state.net, adv, y)
     else:
         # the one input box this step bounds: SABR's small region or the eps-ball
@@ -331,9 +331,7 @@ def natural_accuracy(net: Network, X, y) -> float:
 def _certified_mask(net: Network, X, y, eps):
     """Per-sample interval certification (all non-label diffs bounded < 0)."""
     box = box_from_ball(np.asarray(X, dtype=np.float64), eps)
-    hi = elided_bounds(net, box, y).hi
-    hi[np.arange(len(y)), y] = -np.inf
-    return hi.max(axis=1) < 0.0
+    return margin_loss(elided_bounds(net, box, y).hi, y) < 0.0
 
 
 def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None,
@@ -356,12 +354,11 @@ def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None,
         latent_box = propagate_box(net, box_from_ball(xs, eps), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, ys, attack, multi=True, rng=rng)
         b, t = targets.shape
-        flat = points.reshape((b * t,) + points.shape[2:])
-        logits = forward_batch(net, flat, start=net.split_index)
-        diffs = logits - logits[np.arange(b * t), np.repeat(ys, t)][:, None]
-        diffs[np.arange(b * t), np.repeat(ys, t)] = -np.inf
-        worst = diffs.max(axis=1).reshape(b, t)
-        correct += int(np.sum(np.all(worst < 0.0, axis=1)))
+        labels = np.repeat(ys, t)
+        logits = forward_batch(net, points.reshape((b * t,) + points.shape[2:]),
+                               start=net.split_index)
+        worst = margin_loss(logits - logits[np.arange(b * t), labels][:, None], labels)
+        correct += int(np.sum(np.all(worst.reshape(b, t) < 0.0, axis=1)))
     return correct / X.shape[0]
 
 

@@ -182,8 +182,8 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
       included (the widening adds ``|m|_1`` times the margin to the corner
       bound).  When ``_corner_bounds`` over it, rounding pad included, lies
       below the best margin so far, the LP's value cannot raise the
-      maximum, and it is skipped.  The tightened box gives fewer LPs than
-      the input box (222 against 294 on the certify benchmark's pool).
+      maximum, and it is skipped.  The tightened box skips more LPs than
+      the input box would.
     - *Optimal corners.*  The corner of the input box that maximises
       m[i] @ x (``hi0`` where m[i] > 0, else ``lo0``) is the LP's optimum
       when it meets every row with ``_PRUNE_MARGIN`` to spare, and HiGHS
@@ -191,8 +191,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
       dual tolerance of zero (``_corner_is_optimal``).  The class's value is
       then m[i] @ corner + v[i], the LP path's own float64 expression on the
       same vector, so it is the LP path's value bit for bit; a zero
-      coefficient adds zero wherever the solver leaves its coordinate.  This
-      answers 90 of those 222 LPs.
+      coefficient adds zero wherever the solver leaves its coordinate.
 
     The LPs that do run get the same rows, right-hand sides, bounds and
     objective in the same order, and the result is a maximum, so margins,
@@ -593,7 +592,8 @@ class _BranchAndBound:
 
     def __init__(self, net: Network, y, box: BoxBounds):
         self.net, self.y = net, y
-        self.relus, (self.w_out, self.b_out) = _piecewise_affine(net)
+        # elided rows o_i - o_y; pad covers the one rounding of each subtraction
+        self.relus, (self.rows, self.consts) = _piecewise_affine(elide_final_layer(net, y))
         self.x_lo, self.x_hi = box.lo.reshape(-1), box.hi.reshape(-1)
         _bound_relu_layers(self.relus, self.x_lo, self.x_hi)
         self.units = [(k, j) for k, layer in enumerate(self.relus)
@@ -606,9 +606,6 @@ class _BranchAndBound:
         self.area = hi * -lo / (hi - lo)
         self.out_lo, self.out_hi = (self.relus[-1].post_bounds() if self.relus
                                     else (self.x_lo, self.x_hi))
-        # elided rows o_i - o_y; pad covers the one rounding of each subtraction
-        self.rows = self.w_out - self.w_out[y]
-        self.consts = self.b_out - self.b_out[y]
         self.pads = _EPS * (np.abs(self.rows) @ _magnitude(self.out_lo, self.out_hi)
                             + np.abs(self.consts))
         self.interval_hi = np.nextafter(
@@ -783,19 +780,18 @@ def method_bound(net: Network, x, y, eps, method, attack=None, rng=None):
     raise ValueError(f"unknown method {method!r}")
 
 
-def adversarial_accuracy(net: Network, X, y, eps, attack=None, rng=None) -> float:
-    """Fraction surviving the strongest found attack (upper bound on
-    robustness), attacked in chunks of 256 samples."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
+def adversarial_accuracy(net: Network, X, y, eps, attack=None) -> float:
+    """Share of samples whose PGD margin stays below zero (an upper bound on
+    robustness), read as ``certify`` reads it.  Sample i is attacked with its
+    own generator, seeded ``attack.seed + i``; a pass attacks at most 256 rows,
+    ``256 // restarts`` samples."""
     cfg = attack or AttackConfig(steps=200, restarts=5, seed=0)
-    correct, chunk = 0, 256
-    for start in range(0, X.shape[0], chunk):
-        xs, ys = X[start : start + chunk], y[start : start + chunk]
-        adv = xs if eps == 0.0 else pgd_input(net, xs, ys, eps, cfg, rng=rng)
-        logits = forward_batch(net, adv)
-        correct += int(np.sum(np.argmax(logits, axis=1) == ys))
-    return correct / X.shape[0]
+    margins, chunk = [], max(1, 256 // cfg.restarts)
+    for start in range(0, len(X), chunk):
+        ids = range(start, min(start + chunk, len(X)))
+        margins += pgd_margins(net, X[start : start + chunk], y[start : start + chunk], eps, cfg,
+                               rng=[np.random.default_rng(cfg.seed + i) for i in ids])
+    return float(np.mean(np.asarray(margins) < 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -874,36 +870,21 @@ def variance_theorem_check(net: Network, X_pool, y_pool, eps, n, trials, seed,
     rng = np.random.default_rng(seed)
     f, g, df, dg = per_sample_loss_grads(net, X_pool, y_pool, eps, multi=multi,
                                          connector=connector, attack=attack, rng=rng)
-    pool = len(f)
-    p = df.shape[1]
-    sum1 = np.zeros(p)
-    sumsq1 = np.zeros(p)
-    sum2 = np.zeros(p)
-    sumsq2 = np.zeros(p)
-    sum_d = np.zeros(p)
-    sumsq_d = np.zeros(p)
+    # rows: averaged first, per-sample products, their per-trial difference
+    total = np.zeros((3, df.shape[1]))
+    total_sq = np.zeros_like(total)
     for _ in range(trials):
-        idx = rng.integers(0, pool, size=n)
+        idx = rng.integers(0, len(f), size=n)
         fb, gb = f[idx], g[idx]
         dfb, dgb = df[idx], dg[idx]
         g1 = gb.mean() * dfb.mean(axis=0) + fb.mean() * dgb.mean(axis=0)
         g2 = (gb[:, None] * dfb + fb[:, None] * dgb).mean(axis=0)
-        diff = g1 - g2
-        sum1 += g1
-        sumsq1 += g1 * g1
-        sum2 += g2
-        sumsq2 += g2 * g2
-        sum_d += diff
-        sumsq_d += diff * diff
-    t = trials
-    mean1, mean2 = sum1 / t, sum2 / t
-    var1 = sumsq1 / t - mean1 ** 2
-    var2 = sumsq2 / t - mean2 ** 2
-    mean_d = sum_d / t
-    var_d = np.maximum(sumsq_d / t - mean_d ** 2, 0.0)
-    se_d = np.sqrt(var_d / t)
-    return VarianceReport(mean1, mean2, se_d, np.maximum(var1, 0.0),
-                          np.maximum(var2, 0.0), trials)
+        est = np.stack([g1, g2, g1 - g2])
+        total += est
+        total_sq += est * est
+    mean = total / trials
+    var = np.maximum(total_sq / trials - mean ** 2, 0.0)
+    return VarianceReport(mean[0], mean[1], np.sqrt(var[2] / trials), var[0], var[1], trials)
 
 
 # ---------------------------------------------------------------------------
@@ -921,12 +902,5 @@ class SampleVerdict:
 
 
 def verdict_json_line(v: SampleVerdict) -> str:
-    payload = {
-        "sample_id": v.sample_id,
-        "natural_correct": v.natural_correct,
-        "ibp_certified": v.ibp_certified,
-        "pgd_margin": v.pgd_margin,
-        "exact_margin": v.exact_margin,
-        "method_bounds": {k: list(map(float, val)) for k, val in v.method_bounds.items()},
-    }
-    return json.dumps(payload, sort_keys=True)
+    bounds = {k: list(map(float, val)) for k, val in v.method_bounds.items()}
+    return json.dumps(dict(vars(v), method_bounds=bounds), sort_keys=True)

@@ -40,6 +40,17 @@ def test_margin_loss_certified():
     assert margin_loss(np.array([0.0, -0.3, -0.1]), 0) == -0.1
 
 
+def test_margin_loss_per_row_labels_match_scalar_form():
+    rng = np.random.default_rng(0)
+    diffs = rng.normal(size=(40, 5))
+    y = rng.integers(0, 5, size=40)
+    diffs[np.arange(10), y[:10]] = 9.0  # the label entry is the row's largest
+    rows = margin_loss(diffs, y)
+    assert rows.shape == (40,)
+    for row, label, got in zip(diffs, y, rows):
+        assert got == margin_loss(row, int(label)) == max(np.delete(row, label))
+
+
 def test_ibp_loss_eps_zero_equals_ce():
     rng = np.random.default_rng(0)
     net = random_mlp(rng, [5, 8, 4])

@@ -45,11 +45,33 @@ def test_cnn7_has_six_relus_and_rejects_seven():
 
 @pytest.mark.parametrize("arch, shape, hidden", [
     ("mlp", (20,), (16, 16, 16)), ("mlp", (20,), ()), ("cnn3", (1, 8, 8), ()), ("cnn7", (1, 8, 8), ()),
+    ("mlp", (1, 28, 28), (16, 8)), ("mlp", (1, 28, 28), ()),
 ])
 def test_relu_layer_count_matches_built_network(arch, shape, hidden):
-    """The count that config validation checks classifier_relus against."""
-    net = build_architecture(arch, shape, 10, 0, hidden=hidden)
-    assert relu_layer_count(arch, hidden) == net.relu_count()
+    """The count that config validation checks classifier_relus against, and
+    at every count the split before the layer feeding the first classifier
+    ReLU."""
+    relus = relu_layer_count(arch, hidden)
+    for count in range(relus + 1):
+        net = build_architecture(arch, shape, 10, count, hidden=hidden)
+        assert net.relu_count() == relus
+        relu_at = [i for i, l in enumerate(net.layers) if isinstance(l, ReLU)]
+        assert net.split_index == (relu_at[-count] - 1 if count else len(net.layers))
+
+
+@pytest.mark.parametrize("shape, hidden", [
+    ((784,), (128, 128)), ((1, 28, 28), (16, 12)), ((20,), ()), ((1, 28, 28), ()),
+])
+def test_mlp_layer_descriptors(shape, hidden):
+    """An affine layer per hidden width, each followed by a ReLU, then the
+    logits; a Flatten first on image input."""
+    dims = [int(np.prod(shape)), *hidden, 10]
+    expected = [{"kind": "flatten"}] if len(shape) > 1 else []
+    for a, b in zip(dims, dims[1:]):
+        expected += [{"kind": "affine", "out": b, "in": a}, {"kind": "relu"}]
+    for count in range(len(hidden) + 1):
+        net = build_architecture("mlp", shape, 10, count, hidden=hidden)
+        assert [l.descriptor() for l in net.layers] == expected[:-1]
 
 
 def test_unknown_architecture():

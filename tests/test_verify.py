@@ -15,11 +15,12 @@ from certitrain.verify import (
     exact_margin_oracle,
     margin_upper_bound,
     method_bound,
+    pgd_margins,
     variance_theorem_check,
     verdict_json_line,
 )
 
-from helpers import random_cnn, random_mlp, reference_oracle
+from helpers import dyadic_mlp, random_cnn, random_mlp, reference_oracle
 
 
 def test_certify_eps_zero_correct_sample():
@@ -679,6 +680,22 @@ def test_adversarial_accuracy_bounds():
     assert adversarial_accuracy(net, X, y, 0.0) == 1.0
 
 
+def test_adversarial_accuracy_attacks_each_sample_with_its_own_generator():
+    """More samples than one pass of 256 // restarts: each sample's margin is
+    the one its lone attack with generator ``seed + i`` finds, whatever pass
+    it lands in."""
+    rng = np.random.default_rng(17)
+    net = dyadic_mlp(rng, [4, 8, 8, 3])
+    X = rng.uniform(0, 1, size=(60, 4))
+    y = np.argmax(forward_batch(net, X), axis=1)
+    attack = AttackConfig(steps=2, restarts=5, seed=21)
+    alone = [pgd_margins(net, X[i : i + 1], y[i : i + 1], 0.25, attack,
+                         rng=[np.random.default_rng(attack.seed + i)])[0] for i in range(len(X))]
+    expected = np.mean(np.asarray(alone) < 0.0)
+    assert 0.0 < expected < 1.0
+    assert adversarial_accuracy(net, X, y, 0.25, attack) == expected
+
+
 def variance_setup(seed=0, pool=60):
     rng = np.random.default_rng(seed)
     net = random_mlp(rng, [2, 6, 5, 2], scale=1.2, split_relus=1)
@@ -758,3 +775,10 @@ def test_verdict_json_round_trip():
     assert back["sample_id"] == 3
     assert back["exact_margin"] is None
     assert back["method_bounds"]["ibp"] == [0.0, 0.5]
+    v = SampleVerdict(sample_id=7, natural_correct=False, ibp_certified=True,
+                      pgd_margin=np.float64(-1.0) / 3, exact_margin=None,
+                      method_bounds={"ibp": np.array([0.0, -0.125]), "pgd": [2.5]})
+    assert verdict_json_line(v) == (
+        '{"exact_margin": null, "ibp_certified": true, '
+        '"method_bounds": {"ibp": [0.0, -0.125], "pgd": [2.5]}, "natural_correct": false, '
+        '"pgd_margin": -0.3333333333333333, "sample_id": 7}')
