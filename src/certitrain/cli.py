@@ -335,7 +335,8 @@ def _certify_chunk(args):
         certified, hi = certify_ibp(net, x, label, eps)
         exact = None
         if "oracle" in methods:
-            res = exact_margin_oracle(net, x, label, eps, budget_unstable=budget)
+            res = exact_margin_oracle(net, x, label, eps, budget_unstable=budget,
+                                      reached=pgd[i])
             exact = res.margin if res.exact else None
         out.append(SampleVerdict(
             sample_id=int(ids[i]), natural_correct=nat, ibp_certified=bool(certified),
@@ -370,9 +371,14 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
     attack_cfg = config.eval_attack()
     ids = np.arange(len(ds))
     # a chunk's attack runs len(chunk) * restarts rows per pass; at most a
-    # training batch of them keeps certification within training's memory
+    # training batch of them keeps certification within training's memory.
+    # One process takes as few chunks as that allows, so each attack ascends
+    # as many rows at once as it may; a pool gets at least four chunks a
+    # worker to balance its load.
     per_chunk = max(1, config.batch_size // attack_cfg.restarts)
-    n_chunks = max(config.jobs * 4, -(-len(ds) // per_chunk))
+    n_chunks = -(-len(ds) // per_chunk)
+    if config.jobs > 1:
+        n_chunks = max(config.jobs * 4, n_chunks)
     chunks = np.array_split(ids, max(1, min(n_chunks, len(ds))))
     args = [(net, ds.images[c], ds.labels[c], c, config.epsilon, attack_cfg,
              tuple(methods), config.oracle_budget) for c in chunks if len(c)]

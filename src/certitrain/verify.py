@@ -8,15 +8,17 @@ the pattern's halfspaces is an LP; with no branched constraints the maximum
 is the closed-form corner value.  Budgets turn excessive instances into an
 explicit Unknown, never a wrong number; so does an LP solver failure.
 
-Before a pattern's LPs, three numpy tests skip the LPs whose answers are
-already known, as MILP verifiers' presolve does (Tjeng, Xiao & Tedrake, ICLR
-2019; Ehlers, ATVA 2017): bound tightening of the input box against the
-pattern's halfspaces rejects patterns that are empty, a corner bound over
-the tightened box skips classes that cannot beat the best margin so far, and
-a class whose maximising box corner meets every halfspace is answered by that
-corner, the point the solver would return.  All three allow ten times the
-solver's feasibility tolerance, so margins are those of solving every LP, bit
-for bit, and ``n_patterns`` still counts every enumerated pattern.
+Before a pattern's LPs, numpy tests skip the LPs whose answers are already
+known, as MILP verifiers' presolve does (Tjeng, Xiao & Tedrake, ICLR 2019;
+Ehlers, ATVA 2017): bound tightening of the input box against the pattern's
+halfspaces rejects patterns that are empty, a corner bound over the
+tightened box skips classes that cannot beat the best margin so far or a
+margin an attack has already reached (as branch and bound prunes with its
+best attack point: Bunel et al., JMLR 2020), and a class whose maximising
+box corner meets every halfspace is answered by that corner, the point the
+solver would return.  All allow ten times the solver's feasibility
+tolerance, so margins are those of solving every LP, bit for bit, and
+``n_patterns`` still counts every enumerated pattern.
 """
 
 from __future__ import annotations
@@ -161,15 +163,18 @@ def _corner_is_optimal(m, corners, a_ub, b_ub):
 
 
 def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
-                        max_patterns=200_000) -> OracleResult:
+                        max_patterns=200_000, reached=None) -> OracleResult:
     """Exact worst-case margin max over the box of max_{i != y} (o_i - o_y).
 
     Enumerates activation patterns of unstable ReLUs; per pattern solves one
     LP per wrong class (or the corner formula when the pattern imposes no
     constraints).  Returns Unknown when the instance exceeds the budgets or
     an LP fails; ``n_patterns`` counts every enumerated pattern.
+    ``reached`` is a margin that some point of the input box is known to
+    reach, such as a PGD margin; ``None`` (or a non-finite value) means no
+    such point is known.
 
-    Three numpy tests run before a pattern's LPs and only skip LPs whose
+    Four numpy tests run before a pattern's LPs and only skip LPs whose
     answer is known, so the margin is bit-identical to solving every LP:
 
     - *Empty patterns.*  ``_tighten_box`` tightens the input box against the
@@ -184,6 +189,15 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
       below the best margin so far, the LP's value cannot raise the
       maximum, and it is skipped.  The tightened box skips more LPs than
       the input box would.
+    - *Classes below the reached margin.*  The same corner bound also skips
+      a class when it lies below ``reached - _PRUNE_MARGIN * max(1,
+      |reached|)``; the slack covers the rounding by which the attack's
+      forward pass and this oracle's composed map evaluate the same point
+      differently.  Should the walk end below that floor anyway, it runs
+      again without it.  Otherwise every skipped class's value lies below
+      the final maximum, so margin, status, ``n_patterns`` and reason equal
+      plain enumeration bit for bit.  They can differ only where a skipped
+      LP would have ended in a solver failure.
     - *Optimal corners.*  The corner of the input box that maximises
       m[i] @ x (``hi0`` where m[i] > 0, else ``lo0``) is the LP's optimum
       when it meets every row with ``_PRUNE_MARGIN`` to spare, and HiGHS
@@ -232,9 +246,10 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
     a_rows = np.empty((unstable_count, d))
     b_rows = np.empty(unstable_count)
 
-    best = -np.inf
-    patterns = 0
-    stop = ""  # why the enumeration gave up, if it did
+    # a class whose corner bound lies below the floor cannot reach the maximum
+    floor = -np.inf
+    if reached is not None and np.isfinite(reached):
+        floor = reached - _PRUNE_MARGIN * max(1.0, abs(reached))
 
     def solve_leaf(m, v, n):
         nonlocal best, stop
@@ -250,7 +265,7 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
         corners = np.where(mw > 0.0, hi0, lo0)
         answered = _corner_is_optimal(mw, corners, a_ub, b_ub)
         for k, (i, cap) in enumerate(zip(wrong, _corner_bounds(mw, vw, *tight))):
-            if cap < best:  # dominated class
+            if cap < best or cap < floor:  # dominated class
                 continue
             if answered[k]:  # the LP's own optimum, bit for bit
                 best = max(best, float(m[i] @ corners[k] + v[i]))
@@ -314,7 +329,12 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
             w, b = ops[layer_idx]
             walk(layer_idx + 1, w @ m, w @ v + b, n)
 
+    best, patterns, stop = -np.inf, 0, ""  # stop: why the enumeration gave up
     walk(0, np.eye(d), np.zeros(d), 0)
+    if not stop and best < floor:  # the floor lay above the maximum: walk without it
+        floor = -np.inf
+        best, patterns = -np.inf, 0
+        walk(0, np.eye(d), np.zeros(d), 0)
     if stop:
         return OracleResult("unknown", None, unstable_count, patterns, stop)
     return OracleResult("exact", best, unstable_count, patterns)

@@ -363,7 +363,7 @@ def test_certify_chunks_hold_at_most_a_batch_of_attack_rows(tmp_path, monkeypatc
     assert len(sizes) == 10 and max(sizes) == 3     # 3 samples x 3 restarts <= 10 rows
     sizes.clear()
     b = cmd_certify(big, str(ckpt))
-    assert len(sizes) == 4
+    assert sizes == [30]                # one process: one chunk of 90 rows <= 128
     assert open(a["verdicts"]).read() == open(b["verdicts"]).read()
 
 

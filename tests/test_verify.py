@@ -198,7 +198,13 @@ def test_pruned_oracle_solves_fewer_lps(monkeypatch):
     assert ref.n_unstable >= 4 and plain >= 20 and 2 in calls
     calls.clear()
     assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12)) == repr(ref)
-    assert len(calls) < plain
+    pruned = len(calls)
+    assert pruned < plain
+    # the PGD margin as the reached margin skips more
+    pgd, _ = method_bound(net, x, y, eps, "pgd")
+    calls.clear()
+    assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12, reached=pgd)) == repr(ref)
+    assert len(calls) < pruned
 
 
 def test_prune_bounds_cap_the_oracle_value_at_every_solver_point():
@@ -349,6 +355,33 @@ def test_corner_answers_are_the_solver_points(monkeypatch):
     assert answered
     for m, corner, a_ub, b_ub in answered:
         assert points[a_ub.tobytes(), b_ub.tobytes(), (-m).tobytes()].tobytes() == corner.tobytes()
+
+
+@pytest.mark.parametrize("case", CORNER_CASES)
+def test_reached_margin_floor_matches_plain_enumeration_bitwise(monkeypatch, case):
+    """A reached margin only skips LPs: at the PGD margin, the exact margin,
+    one ulp above it (a forward pass may round so), NaN, and exact + 1 (which
+    the walk must redo without the floor), the oracle equals plain
+    enumeration bit for bit (repr).  Below the exact margin the floor never
+    costs a second walk, so no more LPs run than without it."""
+    _, calls = _spy_lp_points(monkeypatch)
+    for net, x, y, eps in CORNER_CASES[case]():
+        ref = reference_oracle(net, x, y, eps, budget_unstable=12)
+        pgd, _ = method_bound(net, x, y, eps, "pgd",
+                              attack=AttackConfig(steps=20, restarts=2, seed=0))
+        del calls[:]
+        exact_margin_oracle(net, x, y, eps, budget_unstable=12)
+        without = len(calls)
+        reached = [(pgd, False), (float("nan"), False)]  # (value, walks twice)
+        if ref.exact:
+            reached += [(ref.margin, False), (float(np.nextafter(ref.margin, np.inf)), False),
+                        (ref.margin + 1.0, True)]
+        for value, twice in reached:
+            del calls[:]
+            res = exact_margin_oracle(net, x, y, eps, budget_unstable=12, reached=value)
+            assert repr(res) == repr(ref), value
+            if not twice:
+                assert len(calls) <= without, value
 
 
 def sample_margins(net, x, y, eps, n, seed):
