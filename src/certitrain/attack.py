@@ -1,6 +1,7 @@
 """PGD attacks over input balls and latent boxes, plus small-box selection.
 
-All attacks are batched over axis 0 and deterministic given (config, rng).
+All attacks are batched over axis 0 and draw only from the generator (or
+generators) the caller passes, so they are deterministic given (config, rng).
 Every restart of every row runs in one batched ascent: the restarts are
 stacked on a leading axis, so a network pass sees R * B rows.  The
 multi-estimator latent attack runs one maximization per wrong class,
@@ -31,7 +32,6 @@ class AttackConfig:
     steps: int = 8
     restarts: int = 1
     objective: object = "cross_entropy"  # or ("logit_diff", target_index)
-    seed: int = 0
     check_projection: bool = False
 
     def __post_init__(self):
@@ -166,7 +166,7 @@ def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
     return np.take_along_axis(best_x.reshape(shape), pick, axis=0)[0]
 
 
-def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None):
+def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng):
     """Strongest found perturbation of ``x`` within the eps-ball
     intersected with the input domain.
 
@@ -179,7 +179,6 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng=None):
     (up to the last bits of the BLAS products, which may round a one-row
     product differently from a many-row one).
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     box = box_from_ball(x, eps)
@@ -197,7 +196,7 @@ def margin_targets(num_classes, y):
     return grid[keep].reshape(y.size, k - 1)
 
 
-def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, rng=None):
+def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, *, rng):
     """Latent attacks over the classifier within an embedding-space box.
 
     ``box`` holds batched bounds on the extractor output, (B, ...latent).
@@ -212,7 +211,6 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, r
     """
     if net.split_index >= len(net.layers):
         raise ValueError("network has an empty classifier; latent attack is undefined")
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     y = np.asarray(y, dtype=np.intp)
     lo, hi = box.lo, box.hi
     start = net.split_index
@@ -227,7 +225,7 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, r
     return best, targets
 
 
-def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng=None) -> BoxBounds:
+def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng) -> BoxBounds:
     """Small adversarially-centered box inside the eps-ball.
 
     Attacks within the shrunk ball B(x, eps - tau) to pick a center, then

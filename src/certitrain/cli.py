@@ -152,8 +152,7 @@ class Config:
                 tag=LOSS_NAMES[self.loss],
                 w_taps=self.w_taps,
                 connector=ConnectorParams(c=self.connector_c),
-                attack=AttackConfig(steps=self.attack_steps, restarts=self.attack_restarts,
-                                    seed=self.seed),
+                attack=AttackConfig(steps=self.attack_steps, restarts=self.attack_restarts),
                 tau_ratio=self.tau_ratio,
             ),
             schedule=Schedule(
@@ -177,13 +176,17 @@ class Config:
             seed=self.seed,
             l1=self.l1,
             fast_reg_lambda=self.fast_reg_lambda,
-            val_attack=AttackConfig(steps=min(self.attack_steps, 8), seed=self.seed + 1),
+            val_attack=AttackConfig(steps=min(self.attack_steps, 8)),
             record_time=self.record_time,
         )
 
     def eval_attack(self) -> AttackConfig:
-        return AttackConfig(steps=self.eval_attack_steps, restarts=self.eval_attack_restarts,
-                            seed=self.seed + 2)
+        return AttackConfig(steps=self.eval_attack_steps, restarts=self.eval_attack_restarts)
+
+    @property
+    def sample_seed(self) -> int:
+        """Sample i of a test set is attacked with ``default_rng(sample_seed + i)``."""
+        return self.seed + 2
 
 
 _FIELD_TYPES = typing.get_type_hints(Config)
@@ -322,10 +325,10 @@ def cmd_train(config: Config) -> dict:
 # ---------------------------------------------------------------------------
 
 def _certify_chunk(args):
-    net, X, y, ids, eps, attack_cfg, methods, budget = args
+    net, X, y, ids, eps, attack_cfg, seed, methods, budget = args
     if "pgd" in methods:
         pgd = pgd_margins(net, X, y, eps, attack_cfg,
-                          rng=[np.random.default_rng(attack_cfg.seed + i) for i in ids])
+                          rng=[np.random.default_rng(seed + i) for i in ids])
     else:
         pgd = [None] * len(ids)
     out = []
@@ -380,7 +383,7 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
     if config.jobs > 1:
         n_chunks = max(config.jobs * 4, n_chunks)
     chunks = np.array_split(ids, max(1, min(n_chunks, len(ds))))
-    args = [(net, ds.images[c], ds.labels[c], c, config.epsilon, attack_cfg,
+    args = [(net, ds.images[c], ds.labels[c], c, config.epsilon, attack_cfg, config.sample_seed,
              tuple(methods), config.oracle_budget) for c in chunks if len(c)]
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -441,8 +444,7 @@ def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bi
             continue
         for m in methods:
             margin, _ = method_bound(net, x, y, eps, m, rng=rng,
-                                     attack=AttackConfig(steps=50, restarts=3, seed=config.seed)
-                                     if m == "pgd" else AttackConfig(steps=50, seed=config.seed))
+                                     attack=AttackConfig(steps=50, restarts=3 if m == "pgd" else 1))
             errors[m].append(margin - res.margin)
     if skipped == len(ds):
         raise ConfigError(
@@ -510,10 +512,10 @@ def cmd_ablate(config: Config, sweep, values) -> str:
             net, _ = load_checkpoint(result["best"])
             nat = natural_accuracy(net, test_ds.images, test_ds.labels)
             t_acc = taps_accuracy(net, test_ds.images, test_ds.labels, cfg.epsilon,
-                                  AttackConfig(steps=cfg.attack_steps, seed=cfg.seed + 3),
+                                  AttackConfig(steps=cfg.attack_steps),
                                   rng=np.random.default_rng(cfg.seed + 4))
             adv = adversarial_accuracy(net, test_ds.images, test_ds.labels, cfg.epsilon,
-                                       cfg.eval_attack())
+                                       cfg.eval_attack(), seed=cfg.sample_seed)
             cert = float(np.mean(_certified_mask(net, test_ds.images, test_ds.labels,
                                                  cfg.epsilon)))
             fh.write(f"{sweep},{value},{cfg.seed},{nat!r},{t_acc!r},{adv!r},{cert!r}\n")

@@ -222,12 +222,8 @@ def synthetic_digits(n, seed=0) -> Dataset:
         ci = np.clip((np.arange(gw) / sw).astype(int), 0, 4)
         big = glyph[np.ix_(ri, ci)]
         shear = rng.uniform(-0.25, 0.25)
-        if shear:
-            shifted = np.zeros_like(big)
-            for r in range(gh):
-                s = int(round(shear * (r - gh / 2)))
-                shifted[r] = np.roll(big[r], s)
-            big = shifted
+        shifts = np.round(shear * (np.arange(gh) - gh / 2)).astype(int)
+        big = big[np.arange(gh)[:, None], (np.arange(gw) - shifts[:, None]) % gw]
         big = big * rng.uniform(0.8, 1.0)
         canvas = np.zeros((size, size))
         center_top = (size - gh) // 2

@@ -121,7 +121,7 @@ def ibp_loss_terms(tape, net, params, box: BoxBounds, y, collect=None) -> T.Node
 
 
 def paired_loss_terms(tape, net, params, box: BoxBounds, y, *, multi=True,
-                      connector=None, attack=None, rng=None, latent_provider=None):
+                      connector=None, attack=None, rng, latent_provider=None):
     """Build (bound_terms, attacked_terms) sharing the extractor propagation.
 
     ``bound_terms`` is the sound CE over full interval propagation of
@@ -145,7 +145,6 @@ def paired_loss_terms(tape, net, params, box: BoxBounds, y, *, multi=True,
     bound_terms = bound_ce_terms(bounds.hi, y)
 
     lo_v, hi_v = latent.lo.value, latent.hi.value
-    rng = np.random.default_rng(attack.seed) if rng is None else rng
     latent_box = BoxBounds(lo_v, hi_v)
 
     if multi:
@@ -185,8 +184,8 @@ def ibp_loss(net: Network, box: BoxBounds, y) -> float:
     return float(terms.value[0])
 
 
-def taps_loss(net: Network, box: BoxBounds, y, multi=True, connector=None, attack=None,
-              rng=None, latent_provider=None) -> float:
+def taps_loss(net: Network, box: BoxBounds, y, multi=True, connector=None, attack=None, *,
+              rng, latent_provider=None) -> float:
     tape = T.Tape()
     params = lift_params(tape, net)
     _, attacked = paired_loss_terms(
@@ -201,7 +200,7 @@ def taps_loss(net: Network, box: BoxBounds, y, multi=True, connector=None, attac
 # Combined objective
 # ---------------------------------------------------------------------------
 
-def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng=None,
+def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng,
                       latent_provider=None):
     """Batch gradient of the product objective with alpha-scaled branches.
 
@@ -220,7 +219,6 @@ def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng=None,
     y = np.asarray(y, dtype=np.intp)
     if box.lo.shape[0] == 0:
         raise ValueError("empty batch")
-    rng = np.random.default_rng(kind.attack.seed) if rng is None else rng
 
     tape = T.Tape()
     params = lift_params(tape, net)
@@ -285,11 +283,11 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
             radius = T.scale(T.sub(box_nodes.hi, box_nodes.lo), 0.5)
             if input_radius_sum > 0:
                 ratio = T.scale(T.sum_all(radius), 1.0 / input_radius_sum)
-                tight_terms.append(T.maximum_scalar(T.add_scalar(ratio, -1.0), 0.0))
+                tight_terms.append(T.relu(T.add_scalar(ratio, -1.0)))
         if isinstance(layer, ReLU) and prev_box is not None:
             center = T.scale(T.add(prev_box.hi, prev_box.lo), 0.5)
             radius = T.scale(T.sub(prev_box.hi, prev_box.lo), 0.5)
-            unstable = T.mean_all(T.maximum_scalar(T.sub(radius, T.abs_(center)), 0.0))
+            unstable = T.mean_all(T.relu(T.sub(radius, T.abs_(center))))
             lean = T.mean_all(T.clamp(center, -1.0, 1.0))
             balance_terms.append(T.add(unstable, T.mul(lean, lean)))
         prev_box = box_nodes

@@ -73,10 +73,10 @@ class Tape:
     """Append-only record of nodes; creation order is a topological order.
 
     ``checked`` validates finiteness of every node value (slow, for tests).
-    ``kink_tol``, when set, makes piecewise primitives (relu, abs, clamp,
-    maximum_scalar) count how many elements sit within ``kink_tol`` of a
-    non-differentiable point; :func:`finite_diff_check` uses this to skip
-    coordinates whose central differences straddle a kink.
+    ``kink_tol``, when set, makes piecewise primitives (relu, abs, clamp)
+    count how many elements sit within ``kink_tol`` of a non-differentiable
+    point; :func:`finite_diff_check` uses this to skip coordinates whose
+    central differences straddle a kink.
     """
 
     def __init__(self, checked=False, kink_tol=None):
@@ -154,15 +154,6 @@ def abs_(a: Node) -> Node:
         a.tape._note_kinks(np.abs(av))
     sign = np.sign(av)  # sign(0) == 0: subgradient choice at the kink
     return a.tape.node("abs", (a,), np.abs(av), lambda g: (g * sign,))
-
-
-def maximum_scalar(a: Node, s: float) -> Node:
-    s = float(s)
-    av = a.value
-    if a.tape.kink_tol is not None:
-        a.tape._note_kinks(np.abs(av - s))
-    mask = av > s
-    return a.tape.node("max_s", (a,), np.maximum(av, s), lambda g: (g * mask,))
 
 
 def clamp(a: Node, lo: float, hi: float) -> Node:

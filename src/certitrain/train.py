@@ -173,7 +173,7 @@ class TrainConfig:
     l1: float = 0.0
     fast_reg_lambda: float = 0.5
     val_fraction: float = 0.1
-    val_attack: AttackConfig = field(default_factory=lambda: AttackConfig(steps=8, seed=0))
+    val_attack: AttackConfig = field(default_factory=lambda: AttackConfig(steps=8))
     record_time: bool = True  # switch off for byte-identical metrics CSVs
 
     def __post_init__(self):
@@ -198,13 +198,13 @@ class TrainConfig:
 class RunState:
     net: Network
     optimizer: object
+    rng_attack: np.random.Generator  # every attack of the run draws from it
     epoch: int = 0
     step: int = 0
     epsilon: float = 0.0
     lr: float = 0.0
     best_taps_acc: float = -1.0
     best_net: Network | None = None
-    rng_attack: np.random.Generator | None = None
     taps_branch_steps: int = 0  # counts steps that invoked the latent pipeline
 
 
@@ -334,8 +334,8 @@ def _certified_mask(net: Network, X, y, eps):
     return margin_loss(elided_bounds(net, box, y).hi, y) < 0.0
 
 
-def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None,
-                  rng=None) -> float:
+def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None, *,
+                  rng) -> float:
     """Fraction of samples whose latent attack points are all classified right.
 
     With an empty classifier this is interval-certified accuracy; with eps=0

@@ -756,7 +756,7 @@ def _margin_at(net: Network, point, y):
     return margin_loss(diffs, y), diffs
 
 
-def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng=None):
+def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng):
     """PGD margin of each sample of a batch: one batched attack over all
     samples and restarts, each margin read at its sample's point as
     :func:`method_bound` ``"pgd"`` reads it.  ``rng`` is one generator or one
@@ -766,28 +766,29 @@ def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng=None):
     return [_margin_at(net, point, label)[0] for point, label in zip(adv, y)]
 
 
-def method_bound(net: Network, x, y, eps, method, attack=None, rng=None):
+def method_bound(net: Network, x, y, eps, method, attack=None, *, rng):
     """(margin approximation, logit-difference vector) for one method.
 
     ``ibp`` is a sound upper bound, ``pgd`` a feasible-point value (an
     under-approximation), ``sabr``/``taps`` may err on either side.  ``sabr``
-    bounds a small box of radius 0.4 * eps.
+    bounds a small box of radius 0.4 * eps.  Every method takes ``rng``, the
+    generator its attack draws from; ``ibp`` draws nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
         hi = ibp_bounds(net, x, y, eps).hi
         return margin_loss(hi, y), hi
     if method == "pgd":
-        cfg = attack or AttackConfig(steps=50, restarts=3, seed=0)
+        cfg = attack or AttackConfig(steps=50, restarts=3)
         adv = pgd_input(net, x[None], np.asarray([y]), eps, cfg, rng=rng)[0]
         return _margin_at(net, adv, y)
     if method == "sabr":
-        cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
+        cfg = attack or AttackConfig(steps=50)
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.4 * eps, cfg, rng=rng)
         hi = elided_bounds(net, region, [y]).hi[0]
         return margin_loss(hi, y), hi
     if method == "taps":
-        cfg = attack or AttackConfig(steps=50, restarts=1, seed=0)
+        cfg = attack or AttackConfig(steps=50)
         latent_box = propagate_box(net, box_from_ball(x[None], eps), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, np.asarray([y]), cfg,
                                      multi=True, rng=rng)
@@ -800,17 +801,17 @@ def method_bound(net: Network, x, y, eps, method, attack=None, rng=None):
     raise ValueError(f"unknown method {method!r}")
 
 
-def adversarial_accuracy(net: Network, X, y, eps, attack=None) -> float:
+def adversarial_accuracy(net: Network, X, y, eps, attack=None, *, seed) -> float:
     """Share of samples whose PGD margin stays below zero (an upper bound on
     robustness), read as ``certify`` reads it.  Sample i is attacked with its
-    own generator, seeded ``attack.seed + i``; a pass attacks at most 256 rows,
+    own generator, seeded ``seed + i``; a pass attacks at most 256 rows,
     ``256 // restarts`` samples."""
-    cfg = attack or AttackConfig(steps=200, restarts=5, seed=0)
+    cfg = attack or AttackConfig(steps=200, restarts=5)
     margins, chunk = [], max(1, 256 // cfg.restarts)
     for start in range(0, len(X), chunk):
         ids = range(start, min(start + chunk, len(X)))
         margins += pgd_margins(net, X[start : start + chunk], y[start : start + chunk], eps, cfg,
-                               rng=[np.random.default_rng(cfg.seed + i) for i in ids])
+                               rng=[np.random.default_rng(seed + i) for i in ids])
     return float(np.mean(np.asarray(margins) < 0.0))
 
 
@@ -851,7 +852,7 @@ class VarianceReport:
 
 
 def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None,
-                          attack=None, rng=None):
+                          attack=None, rng):
     """Per-sample (attacked value, bound value, their gradients), attack frozen.
 
     One tape per sample; the same latent points serve both branch gradients,

@@ -134,8 +134,9 @@ def test_criterion_2_oracle_sandwich():
             continue
         resolved += 1
         pgd_m, _ = method_bound(net, x, y, eps, "pgd",
-                                attack=AttackConfig(steps=60, restarts=3, seed=attempts))
-        ibp_m, _ = method_bound(net, x, y, eps, "ibp")
+                                attack=AttackConfig(steps=60, restarts=3),
+                                rng=np.random.default_rng(attempts))
+        ibp_m, _ = method_bound(net, x, y, eps, "ibp", rng=None)
         if not (pgd_m <= res.margin + 1e-9 and res.margin <= ibp_m + 1e-9):
             sandwich_bad += 1
     corner_bad = 0
@@ -221,8 +222,8 @@ def test_criterion_3_gradient_fidelity():
 
         def taps_builder(tape, lifted):
             _, attacked = paired_loss_terms(
-                tape, net, lifted, box, yv, multi=True,
-                connector=ConnectorParams(c=1.0), latent_provider=provider)
+                tape, net, lifted, box, yv, multi=True, connector=ConnectorParams(c=1.0),
+                rng=np.random.default_rng(0), latent_provider=provider)
             return T.mean_all(attacked)
 
         err, n = _per_layer_fd(net, taps_builder, rng=rng)
@@ -230,7 +231,7 @@ def test_criterion_3_gradient_fidelity():
             fails["taps"] += 1
 
         region = sabr_select_region(net, X, yv, eps, 0.4 * eps,
-                                    AttackConfig(steps=4, seed=trial))
+                                    AttackConfig(steps=4), rng=np.random.default_rng(trial))
 
         def sabr_builder(tape, lifted):
             from certitrain.loss import ibp_loss_terms
@@ -243,8 +244,8 @@ def test_criterion_3_gradient_fidelity():
 
         def combined_builder(tape, lifted):
             bound, attacked = paired_loss_terms(
-                tape, net, lifted, box, yv, multi=True,
-                connector=ConnectorParams(c=1.0), latent_provider=provider)
+                tape, net, lifted, box, yv, multi=True, connector=ConnectorParams(c=1.0),
+                rng=np.random.default_rng(0), latent_provider=provider)
             return T.mul(T.mean_all(attacked), T.mean_all(bound))
 
         err, n = _per_layer_fd(net, combined_builder, rng=rng)
@@ -272,13 +273,14 @@ def test_criterion_4_loss_ordering():
         x = rng.uniform(0, 1, size=4)
         y = int(rng.integers(3))
         eps = float(rng.uniform(0.02, 0.12))
-        cfg = AttackConfig(steps=3, seed=trial)
+        cfg = AttackConfig(steps=3)
         box = box_from_ball(x[None], eps)
-        if taps_loss(net, box, y, attack=cfg) > ibp_loss(net, box, y) + ulp:
+        t = taps_loss(net, box, y, attack=cfg, rng=np.random.default_rng(trial))
+        if t > ibp_loss(net, box, y) + ulp:
             taps_viol += 1
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.5 * eps,
-                                    AttackConfig(steps=2, seed=trial))
-        s = taps_loss(net, region, y, attack=cfg)
+                                    AttackConfig(steps=2), rng=np.random.default_rng(trial))
+        s = taps_loss(net, region, y, attack=cfg, rng=np.random.default_rng(trial))
         b = ibp_loss(net, region, y)
         if s > b + ulp:
             staps_viol += 1
@@ -293,8 +295,9 @@ def test_criterion_4_loss_ordering():
         y = int(rng.integers(3))
         eps = 0.12
         box = box_from_ball(x[None], eps)
-        multi = taps_loss(net, box, y, multi=True, latent_provider=grid_provider(net))
-        single = taps_loss(net, box, y, multi=False,
+        multi = taps_loss(net, box, y, multi=True, rng=np.random.default_rng(0),
+                          latent_provider=grid_provider(net))
+        single = taps_loss(net, box, y, multi=False, rng=np.random.default_rng(0),
                            latent_provider=grid_provider_single(net))
         if multi < single - 1e-9:
             below += 1
@@ -362,12 +365,12 @@ def test_criterion_6_variance_theorem():
                           decay_epochs=(17, 19), lr0=2e-3, batch_size=64,
                           eps_target=0.1),
         arch="mlp", hidden=(64,), classifier_relus=1, optimizer="adam", seed=0,
-        val_attack=AttackConfig(steps=2, seed=0))
+        val_attack=AttackConfig(steps=2))
     with tempfile.TemporaryDirectory() as tmp:
         net = train_run(cfg, ds, tmp)["state"].net
     rep = variance_theorem_check(net, ds.images[:2000], ds.labels[:2000], 0.1,
                                  n=32, trials=2000, seed=11,
-                                 attack=AttackConfig(steps=3, seed=0))
+                                 attack=AttackConfig(steps=3))
     ok = rep.mean_agreement_fraction >= 0.99 and rep.variance_ok_fraction >= 0.95
     report(6, ok,
            f"mean agreement {rep.mean_agreement_fraction:.4f} (need >=0.99), "
@@ -398,13 +401,13 @@ def _certified_accuracy(net, test_ds, eps=0.1):
 def _desk_run(tag, seed, train_ds, test_ds, attack_steps=8):
     cfg = TrainConfig(
         loss=LossKind(tag=tag, w_taps=5.0, connector=ConnectorParams(c=0.5),
-                      attack=AttackConfig(steps=attack_steps, seed=0)),
+                      attack=AttackConfig(steps=attack_steps)),
         schedule=Schedule(total_epochs=20, annealing_epochs=8, warmup_epochs=1,
                           decay_epochs=(15, 18), lr0=2e-3, batch_size=128,
                           eps_target=0.1, grad_clip=10.0),
         arch="mlp", hidden=(128, 128), classifier_relus=1, optimizer="adam",
         seed=seed, fast_reg_lambda=0.5,
-        val_attack=AttackConfig(steps=5, seed=1))
+        val_attack=AttackConfig(steps=5))
     with tempfile.TemporaryDirectory() as tmp:
         res = train_run(cfg, train_ds, tmp)
     net = res["state"].best_net or res["state"].net
@@ -442,12 +445,12 @@ def test_criterion_8_tightness_ordering():
     test_ds = synthetic_moons(150, noise=0.06, seed=42)
     cfg = TrainConfig(
         loss=LossKind(tag="taps_multi", w_taps=5.0,
-                      attack=AttackConfig(steps=8, seed=0)),
+                      attack=AttackConfig(steps=8)),
         schedule=Schedule(total_epochs=16, annealing_epochs=6, warmup_epochs=1,
                           decay_epochs=(12, 14), lr0=0.01, batch_size=50,
                           eps_target=0.08),
         arch="mlp", hidden=(14, 14), classifier_relus=1, optimizer="adam", seed=0,
-        val_attack=AttackConfig(steps=4, seed=1))
+        val_attack=AttackConfig(steps=4))
     with tempfile.TemporaryDirectory() as tmp:
         net = train_run(cfg, train_ds, tmp)["state"].best_net
     errors = {"ibp": [], "pgd": [], "taps": []}
@@ -459,7 +462,7 @@ def test_criterion_8_tightness_ordering():
         if not res.exact:
             continue
         for m in errors:
-            attack = AttackConfig(steps=50, restarts=3 if m == "pgd" else 1, seed=i)
+            attack = AttackConfig(steps=50, restarts=3 if m == "pgd" else 1)
             margin, _ = method_bound(net, x, y, 0.08, m, attack=attack, rng=rng)
             errors[m].append(margin - res.margin)
     n = len(errors["ibp"])
@@ -485,12 +488,12 @@ def test_criterion_9_ablation_trends():
     def run(tag, seed=0, c=0.5, steps=8, relus=1, record_time=True):
         cfg = TrainConfig(
             loss=LossKind(tag=tag, w_taps=5.0, connector=ConnectorParams(c=c),
-                          attack=AttackConfig(steps=steps, seed=0)),
+                          attack=AttackConfig(steps=steps)),
             schedule=Schedule(total_epochs=14, annealing_epochs=6, warmup_epochs=1,
                               decay_epochs=(11, 13), lr0=2e-3, batch_size=128,
                               eps_target=0.1),
             arch="mlp", hidden=(128, 128), classifier_relus=relus, optimizer="adam",
-            seed=seed, fast_reg_lambda=0.5, val_attack=AttackConfig(steps=5, seed=1),
+            seed=seed, fast_reg_lambda=0.5, val_attack=AttackConfig(steps=5),
             record_time=record_time)
         with tempfile.TemporaryDirectory() as out:
             res = train_run(cfg, train_ds, out)
@@ -500,7 +503,7 @@ def test_criterion_9_ablation_trends():
 
     def taps_acc(net):
         return taps_accuracy(net, test_ds.images, test_ds.labels, 0.1,
-                             AttackConfig(steps=8, seed=3), rng=np.random.default_rng(4))
+                             AttackConfig(steps=8), rng=np.random.default_rng(4))
 
     def cert(net):
         return _certified_accuracy(net, test_ds)
@@ -542,12 +545,12 @@ def test_criterion_10_determinism_persistence():
 
     ds = synthetic_moons(300, noise=0.06, seed=51)
     cfg = TrainConfig(
-        loss=LossKind(tag="taps_multi", attack=AttackConfig(steps=3, seed=0)),
+        loss=LossKind(tag="taps_multi", attack=AttackConfig(steps=3)),
         schedule=Schedule(total_epochs=4, annealing_epochs=2, warmup_epochs=1,
                           decay_epochs=(2, 3), lr0=0.01, batch_size=32,
                           eps_target=0.05),
         arch="mlp", hidden=(16, 16), classifier_relus=1, optimizer="adam", seed=0,
-        val_attack=AttackConfig(steps=3, seed=1), record_time=False)
+        val_attack=AttackConfig(steps=3), record_time=False)
     with tempfile.TemporaryDirectory() as tmp:
         r1 = train_run(cfg, ds, os.path.join(tmp, "a"))
         r2 = train_run(cfg, ds, os.path.join(tmp, "b"))

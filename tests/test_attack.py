@@ -24,7 +24,8 @@ def linear_net(w, b=None, num_classes=None):
 def test_eps_zero_returns_input():
     net = linear_net(np.eye(3))
     x = np.random.default_rng(0).uniform(0, 1, size=(4, 3))
-    got = pgd_input(net, x, np.zeros(4, dtype=int), 0.0, AttackConfig(steps=5))
+    got = pgd_input(net, x, np.zeros(4, dtype=int), 0.0, AttackConfig(steps=5),
+                    rng=np.random.default_rng(0))
     np.testing.assert_array_equal(got, x)
 
 
@@ -35,8 +36,8 @@ def test_linear_model_attack_saturates_at_corner():
     w = np.array([[1.0, -2.0], [3.0, 1.0]])
     net = linear_net(w)
     x = np.array([[0.5, 0.5]])
-    cfg = AttackConfig(steps=3, restarts=1, seed=1)
-    adv = pgd_input(net, x, np.array([0]), 0.05, cfg)
+    cfg = AttackConfig(steps=3, restarts=1)
+    adv = pgd_input(net, x, np.array([0]), 0.05, cfg, rng=np.random.default_rng(1))
     direction = np.sign(w[1] - w[0])
     np.testing.assert_allclose(adv, x + 0.05 * direction, atol=1e-9)
 
@@ -47,8 +48,8 @@ def test_attack_stays_in_clipped_ball():
     x = rng.uniform(0, 1, size=(20, 5))
     y = rng.integers(0, 3, size=20)
     eps = 0.2
-    cfg = AttackConfig(steps=10, restarts=2, seed=3, check_projection=True)
-    adv = pgd_input(net, x, y, eps, cfg)
+    cfg = AttackConfig(steps=10, restarts=2, check_projection=True)
+    adv = pgd_input(net, x, y, eps, cfg, rng=np.random.default_rng(3))
     assert np.all(adv >= np.maximum(x - eps, 0) - 1e-12)
     assert np.all(adv <= np.minimum(x + eps, 1) + 1e-12)
 
@@ -64,8 +65,9 @@ def test_check_projection_raises_on_escape(monkeypatch):
     x = np.full((2, 5), 0.5)
     cfg = AttackConfig(steps=2, restarts=2, check_projection=True)
     with pytest.raises(RuntimeError, match=r"escaped its box by 0\.25 \(restart 1, index \(0, 3\)\)"):
-        pgd_input(net, x, np.array([0, 1]), 0.1, cfg)
-    pgd_input(net, x, np.array([0, 1]), 0.1, AttackConfig(steps=2, restarts=2))
+        pgd_input(net, x, np.array([0, 1]), 0.1, cfg, rng=np.random.default_rng(0))
+    pgd_input(net, x, np.array([0, 1]), 0.1, AttackConfig(steps=2, restarts=2),
+              rng=np.random.default_rng(0))
 
 
 def test_tied_values_keep_the_first_iterate(monkeypatch):
@@ -92,7 +94,7 @@ def test_attack_increases_loss_most_of_the_time():
         net = random_mlp(rng, [6, 12, 4], scale=2.0)
         x = rng.uniform(0, 1, size=(5, 6))
         y = rng.integers(0, 4, size=5)
-        adv = pgd_input(net, x, y, 0.1, AttackConfig(steps=50, seed=t))
+        adv = pgd_input(net, x, y, 0.1, AttackConfig(steps=50), rng=np.random.default_rng(t))
 
         def ce(points):
             logits = forward_batch(net, points)
@@ -110,9 +112,9 @@ def test_seeded_determinism():
     net = random_mlp(rng_data, [4, 6, 3])
     x = rng_data.uniform(0, 1, size=(3, 4))
     y = np.array([0, 1, 2])
-    cfg = AttackConfig(steps=7, restarts=3, seed=11)
-    a = pgd_input(net, x, y, 0.1, cfg)
-    b = pgd_input(net, x, y, 0.1, cfg)
+    cfg = AttackConfig(steps=7, restarts=3)
+    a = pgd_input(net, x, y, 0.1, cfg, rng=np.random.default_rng(11))
+    b = pgd_input(net, x, y, 0.1, cfg, rng=np.random.default_rng(11))
     assert np.array_equal(a, b)
 
 
@@ -121,9 +123,11 @@ def test_latent_degenerate_box_is_identity():
     net = random_mlp(rng, [4, 6, 5, 3], split_relus=1)
     z = rng.normal(size=(2,) + net.latent_shape)
     box = BoxBounds(z.copy(), z.copy())
-    got = pgd_latent(net, box, np.array([0, 1]), AttackConfig(steps=5, seed=0), multi=False)
+    got = pgd_latent(net, box, np.array([0, 1]), AttackConfig(steps=5), multi=False,
+                     rng=np.random.default_rng(0))
     np.testing.assert_array_equal(got, z)
-    pts, _ = pgd_latent(net, box, np.array([0, 1]), AttackConfig(steps=5, seed=0), multi=True)
+    pts, _ = pgd_latent(net, box, np.array([0, 1]), AttackConfig(steps=5), multi=True,
+                        rng=np.random.default_rng(0))
     for t in range(pts.shape[1]):
         np.testing.assert_array_equal(pts[:, t], z)
 
@@ -138,8 +142,8 @@ def test_latent_linear_classifier_reaches_corner():
     hi = lo + rng.uniform(0.5, 1.5, size=(4, 6))
     box = BoxBounds(lo, hi)
     y = np.array([0, 1, 2, 0])
-    cfg = AttackConfig(steps=50, restarts=1, seed=8)
-    pts, tgts = pgd_latent(net, box, y, cfg, multi=True)
+    cfg = AttackConfig(steps=50, restarts=1)
+    pts, tgts = pgd_latent(net, box, y, cfg, multi=True, rng=np.random.default_rng(8))
     for b in range(4):
         for t in range(tgts.shape[1]):
             v = w[tgts[b, t]] - w[y[b]]
@@ -182,19 +186,22 @@ def test_sabr_region_subset_and_limits():
     eps = 0.2
 
     # tau == eps: no shrink attack, centered at x
-    region = sabr_select_region(net, x, y, eps, eps, AttackConfig(steps=3, seed=0))
+    region = sabr_select_region(net, x, y, eps, eps, AttackConfig(steps=3),
+                                rng=np.random.default_rng(0))
     np.testing.assert_allclose(region.lo, np.maximum(x - eps, 0))
     np.testing.assert_allclose(region.hi, np.minimum(x + eps, 1))
 
     # tau/eps = 0.1: radius is 0.1 * eps away from clipping
     tau = 0.1 * eps
-    region = sabr_select_region(net, x, y, eps, tau, AttackConfig(steps=5, seed=1))
+    region = sabr_select_region(net, x, y, eps, tau, AttackConfig(steps=5),
+                                rng=np.random.default_rng(1))
     interior = (region.lo > 0) & (region.hi < 1)
     np.testing.assert_allclose((region.hi - region.lo)[interior], 2 * tau, atol=1e-9)
 
     # containment in the full clipped ball, many random draws
     for seed in range(5):
-        region = sabr_select_region(net, x, y, eps, tau, AttackConfig(steps=8, seed=seed))
+        region = sabr_select_region(net, x, y, eps, tau, AttackConfig(steps=8),
+                                    rng=np.random.default_rng(seed))
         assert np.all(region.lo >= np.maximum(x - eps, 0) - 1e-12)
         assert np.all(region.hi <= np.minimum(x + eps, 1) + 1e-12)
 
@@ -209,7 +216,7 @@ def test_sabr_region_at_domain_edges(monkeypatch, tau_frac):
     centres = np.array([[0.05, 0.0, 1.0, 0.95]]) if tau < eps else x
     monkeypatch.setattr(attack, "pgd_input", lambda *a, **k: centres.copy())
     region = sabr_select_region(linear_net(np.eye(4)), x, np.array([0]), eps, tau,
-                                AttackConfig(steps=2))
+                                AttackConfig(steps=2), rng=np.random.default_rng(0))
     assert np.array_equal(region.lo, np.maximum(np.maximum(centres - tau, x - eps), 0.0))
     assert np.array_equal(region.hi, np.minimum(np.minimum(centres + tau, x + eps), 1.0))
 
@@ -219,15 +226,16 @@ def test_logit_diff_objective_targets_one_class():
     w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     net = linear_net(w)
     x = np.array([[0.5, 0.5]])
-    cfg = AttackConfig(steps=3, objective=("logit_diff", 2), seed=0)
-    adv = pgd_input(net, x, np.array([0]), 0.05, cfg)
+    cfg = AttackConfig(steps=3, objective=("logit_diff", 2))
+    adv = pgd_input(net, x, np.array([0]), 0.05, cfg, rng=np.random.default_rng(0))
     np.testing.assert_allclose(adv, x + 0.05 * np.sign(w[2] - w[0]), atol=1e-9)
 
 
 def test_sabr_invalid_tau():
     net = linear_net(np.eye(2))
     with pytest.raises(ValueError, match="tau"):
-        sabr_select_region(net, np.zeros((1, 2)), np.array([0]), 0.1, 0.2, AttackConfig())
+        sabr_select_region(net, np.zeros((1, 2)), np.array([0]), 0.1, 0.2, AttackConfig(),
+                           rng=np.random.default_rng(0))
 
 
 def test_margin_targets():
@@ -304,7 +312,7 @@ def test_certify_chunk_matches_per_sample_and_parallel(tmp_path):
 
     def chunk(c):
         return _certify_chunk((net, ds.images[c], ds.labels[c], c, cfg.epsilon,
-                               cfg.eval_attack(), methods, cfg.oracle_budget))
+                               cfg.eval_attack(), cfg.sample_seed, methods, cfg.oracle_budget))
 
     whole = [verdict_json_line(v) for v in chunk(ids)]
     alone = [verdict_json_line(v) for i in ids for v in chunk(ids[i : i + 1])]

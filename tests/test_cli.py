@@ -243,6 +243,21 @@ def test_truncated_idx_exits_4(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+# numpy's overflow warnings fire before the non-finite loss is detected; the
+# suite turns RuntimeWarning into errors, which would end the run before main
+# can map the failure to its exit code
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_train_exits_3(tmp_path, capsys):
+    rc = main(["train", "--dataset", "moons", "--subset", "200", "--test-subset", "20",
+               "--epsilon", "0.05", "--no-record-time", "--hidden", "8,8",
+               "--total-epochs", "3", "--annealing-epochs", "2", "--warmup-epochs", "1",
+               "--decay1", "2", "--decay2", "3", "--lr0", "1e300",
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.strip().splitlines()[-1].startswith("numeric failure: non-finite loss")
+
+
 def test_unknown_certify_method_rejected(tmp_path, capsys):
     rc = main(["certify", "--checkpoint", str(tmp_path / "missing.ckpt"),
                "--methods", "ibp,orcale", "--dataset", "moons", "--test-subset", "5",

@@ -98,6 +98,18 @@ def test_moons_in_unit_square():
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
 
+def test_synthetic_digits_bytes_are_pinned():
+    """The corpus bytes for a seed never change: training runs, checkpoints
+    and certification results all rest on them."""
+    import hashlib
+
+    ds = synthetic_digits(256, seed=0)
+    assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+        "88199491739678919a2bc8038f5fa7bbeed731b70c68e5e255402f7bf663189d")
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+        "84a29fe79f22a6ac5c25c1b88d1f69ea09af523651ce27c1f5cdc9d2eff1c02e")
+
+
 def test_synthetic_digits_shape_and_determinism():
     a = synthetic_digits(40, seed=5)
     b = synthetic_digits(40, seed=5)

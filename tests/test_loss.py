@@ -92,7 +92,7 @@ def test_taps_equals_ibp_with_empty_classifier():
     assert net.split_index == len(net.layers)
     x = rng.uniform(0, 1, size=5)
     for y in range(3):
-        a = taps_loss(net, ball(x, 0.08), y)
+        a = taps_loss(net, ball(x, 0.08), y, rng=np.random.default_rng(0))
         b = ibp_loss(net, ball(x, 0.08), y)
         assert abs(a - b) < 1e-12
 
@@ -102,7 +102,8 @@ def test_taps_loss_eps_zero_equals_ce():
     net = random_mlp(rng, [5, 8, 6, 3], split_relus=1)
     x = rng.uniform(0, 1, size=5)
     y = 2
-    got = taps_loss(net, ball(x, 0.0), y, attack=AttackConfig(steps=3, seed=0))
+    got = taps_loss(net, ball(x, 0.0), y, attack=AttackConfig(steps=3),
+                    rng=np.random.default_rng(0))
     assert abs(got - ce_loss(forward_concrete(net, x), y)) < 1e-9
 
 
@@ -154,8 +155,10 @@ def test_taps_orderings_with_grid_exact_latent_max():
         y = int(rng.integers(3))
         eps = 0.15
         box = ball(x, eps)
-        multi = taps_loss(net, box, y, multi=True, latent_provider=grid_provider(net))
-        single = taps_loss(net, box, y, multi=False, latent_provider=grid_provider_single(net))
+        multi = taps_loss(net, box, y, multi=True, rng=np.random.default_rng(0),
+                          latent_provider=grid_provider(net))
+        single = taps_loss(net, box, y, multi=False, rng=np.random.default_rng(0),
+                           latent_provider=grid_provider_single(net))
         full_ibp = ibp_loss(net, box, y)
         assert multi >= single - 1e-9
         assert multi <= full_ibp + 1e-12
@@ -168,8 +171,9 @@ def test_taps_leq_ibp_with_pgd():
         net = random_mlp(rng, [5, 9, 7, 4], scale=1.5, split_relus=1)
         x = rng.uniform(0, 1, size=5)
         y = int(rng.integers(4))
-        cfg = AttackConfig(steps=5, seed=trial)
-        assert taps_loss(net, ball(x, 0.1), y, attack=cfg) <= ibp_loss(net, ball(x, 0.1), y) + 1e-12
+        cfg = AttackConfig(steps=5)
+        attacked = taps_loss(net, ball(x, 0.1), y, attack=cfg, rng=np.random.default_rng(trial))
+        assert attacked <= ibp_loss(net, ball(x, 0.1), y) + 1e-12
 
 
 def test_sabr_tau_equals_eps_is_ibp():
@@ -179,7 +183,8 @@ def test_sabr_tau_equals_eps_is_ibp():
     net = random_mlp(rng, [5, 8, 3])
     x = rng.uniform(0, 1, size=5)
     y = 1
-    region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.1, AttackConfig(steps=4, seed=0))
+    region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.1, AttackConfig(steps=4),
+                                rng=np.random.default_rng(0))
     a = ibp_loss(net, region, y)
     b = ibp_loss(net, ball(x, 0.1), y)
     assert abs(a - b) < 1e-12
@@ -191,7 +196,7 @@ def test_staps_empty_classifier_is_sabr():
     x = rng.uniform(0, 1, size=5)
     y = 0
     region = ball(x, 0.04)
-    a = taps_loss(net, region, y)
+    a = taps_loss(net, region, y, rng=np.random.default_rng(0))
     b = ibp_loss(net, region, y)
     assert abs(a - b) < 1e-12
 
@@ -205,8 +210,9 @@ def test_staps_leq_sabr_paired_regions():
         x = rng.uniform(0, 1, size=5)
         y = int(rng.integers(3))
         region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.04,
-                                    AttackConfig(steps=4, seed=trial))
-        s = taps_loss(net, region, y, attack=AttackConfig(steps=5, seed=trial))
+                                    AttackConfig(steps=4), rng=np.random.default_rng(trial))
+        s = taps_loss(net, region, y, attack=AttackConfig(steps=5),
+                      rng=np.random.default_rng(trial))
         b = ibp_loss(net, region, y)
         assert s <= b + 1e-12
 
@@ -239,7 +245,7 @@ def numeric_batch_grad(net, X, y, eps, kind, base_points, base_targets, step=1e-
         provider = relative_provider(base_points, base_targets)
         bound, attacked = paired_loss_terms(
             tape, m, params, box_from_ball(X, eps), y, multi=True, connector=ConnectorParams(c=1.0),
-            latent_provider=provider)
+            rng=np.random.default_rng(0), latent_provider=provider)
         return float(np.mean(bound.value) * np.mean(attacked.value))
 
     grad = np.zeros_like(theta0)
@@ -276,7 +282,7 @@ def test_combined_gradient_alpha_half_is_product_rule():
     rel = rng.uniform(0.2, 0.8, size=(4, t.shape[1], net.latent_shape[0]))
 
     kind = LossKind(tag="taps_multi", w_taps=1.0, connector=ConnectorParams(c=1.0))
-    grads, diag = combined_gradient(net, box_from_ball(X, eps), y, kind,
+    grads, diag = combined_gradient(net, box_from_ball(X, eps), y, kind, np.random.default_rng(0),
                                     latent_provider=relative_provider(rel, t))
     fd = numeric_batch_grad(net, X, y, eps, kind, rel, t)
     an = flatten_grads(grads)
@@ -304,7 +310,8 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
 
     inf_kind = LossKind(tag="taps_multi", w_taps=float("inf"))
     box = box_from_ball(X, 0.05)
-    g_inf, diag = combined_gradient(net, box, y, inf_kind, latent_provider=provider)
+    g_inf, diag = combined_gradient(net, box, y, inf_kind, np.random.default_rng(0),
+                                    latent_provider=provider)
 
     # reference: gradient of mean attacked loss alone, scaled by 2 * mean bound
     from certitrain.loss import paired_loss_terms
@@ -314,7 +321,7 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
     params = lift_params(tape, net)
     bound, attacked = paired_loss_terms(tape, net, params, box, y, multi=True,
                                         connector=ConnectorParams(),
-                                        latent_provider=provider)
+                                        rng=np.random.default_rng(0), latent_provider=provider)
     gm = T.backward(tape, T.mean_all(attacked))
     ref = [gm[e[n].id] * 2.0 * float(np.mean(bound.value))
            for e in params if e for n in ("weight", "bias")]

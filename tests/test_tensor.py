@@ -164,7 +164,6 @@ def test_kink_distances_only_on_tapes_that_count_kinks(monkeypatch):
     x = tape.leaf(np.array([[-1.0, 0.25, 2.0]]))
     T.relu(x)
     T.abs_(x)
-    T.maximum_scalar(x, 0.5)
     T.clamp(x, 0.0, 1.0)
     T.elided_abs_linear(x, tape.leaf(np.arange(6.0).reshape(2, 3)), [1])
 
@@ -232,7 +231,6 @@ PRIMITIVE_CASES = [
     ("add", lambda t, a: T.sum_all(T.add(a, T.scale(a, 0.5)))),
     ("mul", lambda t, a: T.sum_all(T.mul(a, T.scale(a, -1.3)))),
     ("abs", lambda t, a: T.sum_all(T.abs_(a))),
-    ("max_s", lambda t, a: T.sum_all(T.maximum_scalar(a, 0.25))),
     ("clamp", lambda t, a: T.sum_all(T.clamp(a, -0.5, 0.75))),
     ("mean", lambda t, a: T.mean_all(T.mul(a, a))),
     ("log1psumexp", lambda t, a: T.sum_all(T.log1p_sum_exp_rows(T.reshape(a, (2, 3))))),

@@ -72,9 +72,31 @@ def test_grad_clip():
     assert abs(np.sqrt(np.sum(clipped[0] ** 2)) - 10.0) < 1e-9
 
 
+def test_sgd_momentum_two_steps():
+    # dyadic values keep every product and sum exact
+    opt = make_optimizer("sgd", momentum=0.5)
+    a0 = [np.array([1.0, -2.0]), np.array([[0.5]])]
+    g1 = [np.array([0.5, 0.25]), np.array([[1.0]])]
+    g2 = [np.array([-1.0, 0.5]), np.array([[-0.25]])]
+    a1 = opt.step(a0, g1, 0.5)
+    a2 = opt.step(a1, g2, 0.5)
+    # v1 = g1; v2 = 0.5 * g1 + g2
+    want1 = [np.array([0.75, -2.125]), np.array([[0.0]])]
+    want2 = [np.array([0.75 + 0.375, -2.125 - 0.3125]), np.array([[0.0 - 0.125]])]
+    for got, want in zip(a1 + a2, want1 + want2):
+        assert np.array_equal(got, want)
+    assert np.array_equal(a0[0], [1.0, -2.0])  # the step returns new arrays
+
+
+def test_run_state_needs_an_attack_generator():
+    net = build_architecture("mlp", (2,), 2, 0, hidden=(8,))
+    with pytest.raises(TypeError, match="rng_attack"):
+        RunState(net=net, optimizer=make_optimizer("sgd"))
+
+
 def moons_config(tag="ibp", **kw):
     defaults = dict(
-        loss=LossKind(tag=tag, attack=AttackConfig(steps=3, seed=0),
+        loss=LossKind(tag=tag, attack=AttackConfig(steps=3),
                       **({"tau_ratio": 0.4} if tag in ("sabr", "staps") else {})),
         schedule=small_schedule(),
         arch="mlp",
@@ -83,7 +105,7 @@ def moons_config(tag="ibp", **kw):
         optimizer="adam",
         seed=kw.pop("seed", 0),
         fast_reg_lambda=kw.pop("fast_reg_lambda", 0.2),
-        val_attack=AttackConfig(steps=3, seed=1),
+        val_attack=AttackConfig(steps=3),
         record_time=kw.pop("record_time", True),
     )
     defaults.update(kw)
@@ -231,7 +253,8 @@ def test_taps_accuracy_eps_zero_is_natural():
     ds = synthetic_moons(100, seed=11)
     net = init_params(build_architecture("mlp", (2,), 2, 1, hidden=(16, 16)), 4)
     nat = natural_accuracy(net, ds.images, ds.labels)
-    t = taps_accuracy(net, ds.images, ds.labels, 0.0, AttackConfig(steps=2, seed=0))
+    t = taps_accuracy(net, ds.images, ds.labels, 0.0, AttackConfig(steps=2),
+                      rng=np.random.default_rng(0))
     assert abs(nat - t) < 1e-12
 
 
@@ -240,12 +263,31 @@ def test_taps_accuracy_empty_classifier_is_certified():
     net = init_params(build_architecture("mlp", (2,), 2, 0, hidden=(16,)), 5)
     from certitrain.verify import certify_ibp
 
-    t = taps_accuracy(net, ds.images, ds.labels, 0.05)
+    t = taps_accuracy(net, ds.images, ds.labels, 0.05, rng=np.random.default_rng(0))
     certified = np.mean([
         certify_ibp(net, ds.images[i], int(ds.labels[i]), 0.05)[0]
         for i in range(len(ds))
     ])
     assert abs(t - certified) < 1e-12
+
+
+def test_l1_penalty_joins_the_step():
+    from certitrain.loss import l1_penalty
+
+    ds = synthetic_moons(40, seed=15)
+    net = init_params(build_architecture("mlp", (2,), 2, 1, hidden=(8, 8)), 3)
+    batch = (ds.images[:8], ds.labels[:8])
+    rows, params = {}, {}
+    for lam in (0.0, 1e-2):
+        state = RunState(net=net, optimizer=make_optimizer("sgd"),
+                         rng_attack=np.random.default_rng(0))
+        rows[lam] = train_step(batch, state, moons_config("ibp", l1=lam), steps_per_epoch=5)
+        params[lam] = state.net.param_arrays()
+    value, _ = l1_penalty(net.param_arrays(), 1e-2)
+    assert value > 0.0
+    assert rows[1e-2]["combined_loss"] == rows[0.0]["combined_loss"] + value
+    assert rows[1e-2]["ibp_loss"] == rows[0.0]["ibp_loss"]
+    assert not all(np.array_equal(a, b) for a, b in zip(params[0.0], params[1e-2]))
 
 
 def test_nonfinite_loss_aborts():

@@ -201,7 +201,7 @@ def test_pruned_oracle_solves_fewer_lps(monkeypatch):
     pruned = len(calls)
     assert pruned < plain
     # the PGD margin as the reached margin skips more
-    pgd, _ = method_bound(net, x, y, eps, "pgd")
+    pgd, _ = method_bound(net, x, y, eps, "pgd", rng=np.random.default_rng(0))
     calls.clear()
     assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12, reached=pgd)) == repr(ref)
     assert len(calls) < pruned
@@ -368,7 +368,8 @@ def test_reached_margin_floor_matches_plain_enumeration_bitwise(monkeypatch, cas
     for net, x, y, eps in CORNER_CASES[case]():
         ref = reference_oracle(net, x, y, eps, budget_unstable=12)
         pgd, _ = method_bound(net, x, y, eps, "pgd",
-                              attack=AttackConfig(steps=20, restarts=2, seed=0))
+                              attack=AttackConfig(steps=20, restarts=2),
+                              rng=np.random.default_rng(0))
         del calls[:]
         exact_margin_oracle(net, x, y, eps, budget_unstable=12)
         without = len(calls)
@@ -404,8 +405,9 @@ def test_oracle_sandwich_random_tiny_nets(seed):
     if not res.exact:
         pytest.skip("instance exceeded unstable budget")
     pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                 attack=AttackConfig(steps=60, restarts=3, seed=seed))
-    ibp_margin, _ = method_bound(net, x, y, eps, "ibp")
+                                 attack=AttackConfig(steps=60, restarts=3),
+                                 rng=np.random.default_rng(seed))
+    ibp_margin, _ = method_bound(net, x, y, eps, "ibp", rng=None)
     assert pgd_margin <= res.margin + 1e-9
     assert res.margin <= ibp_margin + 1e-9
     # interior Monte Carlo points can never beat the exact maximum
@@ -451,8 +453,9 @@ def test_relaxed_bound_sandwich_and_exactness(seed):
     """PGD <= exact <= relaxed <= IBP; splitting every unstable unit is exact."""
     for trial, (net, x, y, eps, exact, n_unstable) in enumerate(_oracle_resolved_instances(seed, 12)):
         pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                     attack=AttackConfig(steps=60, restarts=3, seed=trial))
-        ibp_margin, _ = method_bound(net, x, y, eps, "ibp")
+                                     attack=AttackConfig(steps=60, restarts=3),
+                                     rng=np.random.default_rng(trial))
+        ibp_margin, _ = method_bound(net, x, y, eps, "ibp", rng=None)
         relaxed = margin_upper_bound(net, x, y, eps, lp_budget=16)
         assert pgd_margin <= exact + 1e-9
         assert exact <= relaxed
@@ -469,7 +472,8 @@ def test_relaxed_certificate_agrees_with_oracle_and_attack():
         y = int(np.argmax(forward_batch(net, x[None])[0]))
         exact = exact_margin_oracle(net, x, y, eps, budget_unstable=12).margin
         pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                     attack=AttackConfig(steps=60, restarts=3, seed=trial))
+                                     attack=AttackConfig(steps=60, restarts=3),
+                                     rng=np.random.default_rng(trial))
         res = certify_relaxed(net, x, y, eps, lp_budget=16)
         if res.certified:
             certified += 1
@@ -633,8 +637,9 @@ def test_relaxed_conv_net_between_attack_and_ibp():
         eps = 0.03
         relaxed = margin_upper_bound(net, x, y, eps, lp_budget=8)
         pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                     attack=AttackConfig(steps=40, restarts=2, seed=trial))
-        ibp_margin, _ = method_bound(net, x, y, eps, "ibp")
+                                     attack=AttackConfig(steps=40, restarts=2),
+                                     rng=np.random.default_rng(trial))
+        ibp_margin, _ = method_bound(net, x, y, eps, "ibp", rng=None)
         assert pgd_margin <= relaxed <= ibp_margin + 1e-9
         checked += relaxed < ibp_margin - 1e-6
     assert checked >= 1
@@ -652,13 +657,14 @@ def test_method_bound_signs_against_oracle():
         if not res.exact:
             continue
         checked += 1
-        ibp_m, _ = method_bound(net, x, y, eps, "ibp")
+        ibp_m, _ = method_bound(net, x, y, eps, "ibp", rng=None)
         pgd_m, _ = method_bound(net, x, y, eps, "pgd",
-                                attack=AttackConfig(steps=40, restarts=2, seed=trial))
+                                attack=AttackConfig(steps=40, restarts=2),
+                                rng=np.random.default_rng(trial))
         taps_m, _ = method_bound(net, x, y, eps, "taps",
-                                 attack=AttackConfig(steps=40, seed=trial))
+                                 attack=AttackConfig(steps=40), rng=np.random.default_rng(trial))
         sabr_m, _ = method_bound(net, x, y, eps, "sabr",
-                                 attack=AttackConfig(steps=20, seed=trial))
+                                 attack=AttackConfig(steps=20), rng=np.random.default_rng(trial))
         assert ibp_m - res.margin >= -1e-9          # sound over-approximation
         assert pgd_m - res.margin <= 1e-9           # feasible-point under-approx
         assert taps_m <= ibp_m + 1e-9               # attacked bound below interval bound
@@ -685,7 +691,7 @@ def test_concrete_bound_paths_build_no_tape(monkeypatch):
     split = random_mlp(rng, [4, 8, 6, 3], split_relus=1)
     X = rng.uniform(0, 1, size=(5, 4))
     y = rng.integers(0, 3, size=5)
-    attack = AttackConfig(steps=2, seed=0)
+    attack = AttackConfig(steps=2)
     ibp_bounds(whole, X[0], int(y[0]), 0.05)
     certify_ibp(whole, X[0], int(y[0]), 0.05)
     _certified_mask(whole, X, y, 0.05)
@@ -706,11 +712,11 @@ def test_adversarial_accuracy_bounds():
     X = rng.uniform(0, 1, size=(40, 4))
     y = np.argmax(forward_batch(net, X), axis=1)
     eps = 0.03
-    adv_acc = adversarial_accuracy(net, X, y, eps, AttackConfig(steps=30, restarts=2, seed=0))
+    adv_acc = adversarial_accuracy(net, X, y, eps, AttackConfig(steps=30, restarts=2), seed=0)
     cert = np.mean([certify_ibp(net, X[i], int(y[i]), eps)[0] for i in range(len(y))])
     nat = 1.0
     assert cert <= adv_acc + 1e-12 <= nat + 1e-12
-    assert adversarial_accuracy(net, X, y, 0.0) == 1.0
+    assert adversarial_accuracy(net, X, y, 0.0, seed=0) == 1.0
 
 
 def test_adversarial_accuracy_attacks_each_sample_with_its_own_generator():
@@ -721,12 +727,12 @@ def test_adversarial_accuracy_attacks_each_sample_with_its_own_generator():
     net = dyadic_mlp(rng, [4, 8, 8, 3])
     X = rng.uniform(0, 1, size=(60, 4))
     y = np.argmax(forward_batch(net, X), axis=1)
-    attack = AttackConfig(steps=2, restarts=5, seed=21)
+    attack, seed = AttackConfig(steps=2, restarts=5), 21
     alone = [pgd_margins(net, X[i : i + 1], y[i : i + 1], 0.25, attack,
-                         rng=[np.random.default_rng(attack.seed + i)])[0] for i in range(len(X))]
+                         rng=[np.random.default_rng(seed + i)])[0] for i in range(len(X))]
     expected = np.mean(np.asarray(alone) < 0.0)
     assert 0.0 < expected < 1.0
-    assert adversarial_accuracy(net, X, y, 0.25, attack) == expected
+    assert adversarial_accuracy(net, X, y, 0.25, attack, seed=seed) == expected
 
 
 def variance_setup(seed=0, pool=60):
@@ -740,7 +746,7 @@ def variance_setup(seed=0, pool=60):
 def test_variance_check_n1_identical_estimators():
     net, X, y = variance_setup()
     rep = variance_theorem_check(net, X, y, 0.05, n=1, trials=50, seed=3,
-                                 attack=AttackConfig(steps=3, seed=0))
+                                 attack=AttackConfig(steps=3))
     np.testing.assert_allclose(rep.mean_avg_then_mul, rep.mean_mul_then_avg, atol=1e-12)
     np.testing.assert_allclose(rep.var_avg_then_mul, rep.var_mul_then_avg, atol=1e-12)
     assert rep.variance_ok_fraction == 1.0
@@ -751,8 +757,8 @@ def test_variance_check_constant_bound_branch():
     net, X, y = variance_setup(seed=1)
     from certitrain import verify as V
 
-    f_vals, g_vals, df, dg = V.per_sample_loss_grads(net, X, y, 0.05,
-                                                     attack=AttackConfig(steps=3, seed=0))
+    f_vals, g_vals, df, dg = V.per_sample_loss_grads(net, X, y, 0.05, attack=AttackConfig(steps=3),
+                                                     rng=np.random.default_rng(0))
     g_const = np.full_like(g_vals, 2.5)
     dg_zero = np.zeros_like(dg)
     rng = np.random.default_rng(7)
@@ -781,12 +787,12 @@ def test_variance_check_generic_trend():
                           decay_epochs=(12, 14), lr0=0.01, batch_size=50,
                           eps_target=0.08),
         arch="mlp", hidden=(24, 24), classifier_relus=1, optimizer="adam", seed=0,
-        val_attack=AttackConfig(steps=2, seed=0))
+        val_attack=AttackConfig(steps=2))
     with tempfile.TemporaryDirectory() as tmp:
         net = train_run(cfg, train, tmp)["state"].net
     rep = variance_theorem_check(net, pool.images, pool.labels, 0.08,
                                  n=16, trials=500, seed=11,
-                                 attack=AttackConfig(steps=3, seed=0))
+                                 attack=AttackConfig(steps=3))
     assert rep.mean_agreement_fraction >= 0.95
     assert rep.variance_ok_fraction >= 0.9
 
