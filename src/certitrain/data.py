@@ -18,8 +18,6 @@ __all__ = [
     "Dataset",
     "IdxError",
     "load_mnist_idx",
-    "write_idx_images",
-    "write_idx_labels",
     "synthetic_moons",
     "synthetic_digits",
     "batches",
@@ -120,24 +118,6 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         labels=labels.astype(np.int64),
         num_classes=10,
     )
-
-
-def write_idx_images(path, images_u8):
-    """Write (N, H, W) uint8 images as an IDX file (gzipped iff path ends .gz)."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    n, h, w = images_u8.shape
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGE_MAGIC, n, h, w))
-        fh.write(images_u8.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
-        fh.write(struct.pack(">ii", LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
 
 
 def resolve_data_dir(flag_value=None):

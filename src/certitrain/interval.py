@@ -55,10 +55,6 @@ class BoxBounds:
     def radius(self):
         return 0.5 * (self.hi - self.lo)
 
-    def sample(self, n, rng):
-        u = rng.uniform(size=(n,) + self.lo.shape)
-        return self.lo[None] + u * (self.hi - self.lo)[None]
-
 
 def box_from_ball(x, eps) -> BoxBounds:
     """L-infinity ball around ``x`` intersected with the input domain."""

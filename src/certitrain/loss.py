@@ -3,12 +3,11 @@
 Every builder bounds the input box it is given, a :class:`BoxBounds`: the
 eps-ball from :func:`interval.box_from_ball`, or SABR's small region from
 :func:`attack.sabr_select_region`, which makes SABR and STAPS the IBP and
-TAPS losses over that region.  Batched graph builders return per-sample loss
-nodes (shape (B,)); scalar convenience wrappers expose the single-sample
-operations on a one-row box.  The TAPS builders
-share the extractor's interval propagation between the sound (full interval)
-and attacked (latent PGD + connector) branches so gradients for the extractor
-accumulate from both, which is exactly how the product objective trains.
+TAPS losses over that region.  The graph builders return per-sample loss
+nodes (shape (B,)).  The TAPS builders share the extractor's interval
+propagation between the sound (full interval) and attacked (latent PGD +
+connector) branches so gradients for the extractor accumulate from both,
+which is exactly how the product objective trains.
 """
 
 from __future__ import annotations
@@ -27,14 +26,17 @@ from .net import Network, ReLU, forward_on_tape, lift_params, param_grads
 __all__ = [
     "LossKind",
     "LOSS_TAGS",
-    "ce_loss",
+    "NumericError",
     "margin_loss",
-    "ibp_loss",
-    "taps_loss",
     "combined_gradient",
-    "fast_regularizer",
     "l1_penalty",
 ]
+
+
+class NumericError(RuntimeError):
+    """Raised when a training loss or gradient turns non-finite, or an
+    attacked loss exceeds its sound bound."""
+
 
 LOSS_TAGS = ("natural", "pgd_at", "ibp", "taps_single", "taps_multi", "sabr", "staps")
 
@@ -87,14 +89,6 @@ def ce_terms(logits: T.Node, y) -> T.Node:
 def bound_ce_terms(upper_diffs: T.Node, y) -> T.Node:
     """Per-sample CE over upper logit-difference bounds (label column dropped)."""
     return T.log1p_sum_exp_rows(T.drop_col(upper_diffs, y))
-
-
-def ce_loss(logits, y) -> float:
-    """Scalar cross-entropy for one sample's logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    tape = T.Tape()
-    node = ce_terms(tape.constant(logits[None]), np.asarray([y]))
-    return float(node.value[0])
 
 
 def margin_loss(upper_diffs, y):
@@ -174,29 +168,6 @@ def paired_loss_terms(tape, net, params, box: BoxBounds, y, *, multi=True,
 
 
 # ---------------------------------------------------------------------------
-# Scalar convenience wrappers (single sample, one-row box)
-# ---------------------------------------------------------------------------
-
-def ibp_loss(net: Network, box: BoxBounds, y) -> float:
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    terms = ibp_loss_terms(tape, net, params, box, np.asarray([y]))
-    return float(terms.value[0])
-
-
-def taps_loss(net: Network, box: BoxBounds, y, multi=True, connector=None, attack=None, *,
-              rng, latent_provider=None) -> float:
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    _, attacked = paired_loss_terms(
-        tape, net, params, box, np.asarray([y]),
-        multi=multi, connector=connector, attack=attack, rng=rng,
-        latent_provider=latent_provider,
-    )
-    return float(attacked.value[0])
-
-
-# ---------------------------------------------------------------------------
 # Combined objective
 # ---------------------------------------------------------------------------
 
@@ -212,7 +183,9 @@ def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng,
              + (2 - 2a) * grad(mean_bound) * mean_attacked,  a = w / (1 + w)
 
     Returns (grads, diagnostics): ``grads`` aligned with
-    ``net.param_arrays()``; diagnostics carries the branch means.
+    ``net.param_arrays()``; diagnostics carries the branch means.  Raises
+    :class:`NumericError` when a row's attacked loss exceeds its sound bound
+    by more than 1e-9.
     """
     if not kind.uses_product:
         raise ValueError(f"combined_gradient applies to product losses, not {kind.tag}")
@@ -228,8 +201,9 @@ def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng,
         rng=rng, latent_provider=latent_provider,
     )
     if np.any(attacked_terms.value > bound_terms.value + 1e-9):
-        worst = float((attacked_terms.value - bound_terms.value).max())
-        raise RuntimeError(f"attacked loss exceeds sound bound by {worst:.3e}")
+        row = int(np.argmax(attacked_terms.value - bound_terms.value))
+        raise NumericError(f"attacked loss {attacked_terms.value[row]:.17g} above its sound "
+                           f"bound {bound_terms.value[row]:.17g} in batch row {row}")
 
     mean_bound = T.mean_all(bound_terms)
     mean_attacked = T.mean_all(attacked_terms)
@@ -253,8 +227,7 @@ def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng,
 # Annealing-phase stability regularizer
 # ---------------------------------------------------------------------------
 
-def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
-                          collected=None) -> T.Node:
+def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam, collected) -> T.Node:
     """Box-tightness plus ReLU-balance penalty used during the eps ramp.
 
     Tightness: mean over linear layers of max(0, radius_sum / input_radius_sum - 1).
@@ -263,15 +236,9 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
     when active and inactive units balance out.  Both terms are nonnegative
     and differentiable on the tape.
 
-    ``collected`` can reuse the per-layer boxes of an existing propagation of
+    ``collected`` holds the per-layer boxes of an existing propagation of
     ``input_box`` (one interval pass serves both the loss and the penalty).
     """
-    if lam == 0.0:
-        return tape.constant(np.asarray(0.0))
-    if collected is None:
-        tb = input_box_nodes(tape, input_box)
-        collected = []
-        propagate_box_on_tape(net, params, tb, stop=len(net.layers) - 1, collect=collected)
     input_radius_sum = float(input_box.radius.sum())
 
     tight_terms = []
@@ -301,14 +268,6 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam,
         return T.scale(acc, 1.0 / len(nodes))
 
     return T.scale(T.add(_mean(tight_terms), _mean(balance_terms)), lam)
-
-
-def fast_regularizer(net: Network, box: BoxBounds, lam) -> float:
-    """Standalone value of the annealing regularizer for a batch's box."""
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    node = fast_regularizer_node(tape, net, params, box, lam)
-    return float(node.value)
 
 
 def l1_penalty(arrays, lam):

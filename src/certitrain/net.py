@@ -256,15 +256,6 @@ class Network:
         self.num_classes = int(num_classes)
         self.input_shape = tuple(input_shape)
 
-    @property
-    def classifier(self):
-        return self.layers[self.split_index :]
-
-    @property
-    def latent_shape(self):
-        """Output shape of the feature extractor (one sample)."""
-        return self._layer_shapes[self.split_index]
-
     def shape_after(self, layer_index):
         return self._layer_shapes[layer_index]
 
@@ -285,9 +276,6 @@ class Network:
         if next(it, None) is not None:
             raise ValueError("too many parameter arrays")
         return Network(new_layers, self.split_index, self.num_classes, self.input_shape)
-
-    def relu_count(self):
-        return sum(isinstance(l, ReLU) for l in self.layers)
 
 
 # ---------------------------------------------------------------------------

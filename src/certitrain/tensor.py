@@ -21,8 +21,6 @@ __all__ = [
     "Tape",
     "Node",
     "backward",
-    "finite_diff_check",
-    "FiniteDiffReport",
 ]
 
 
@@ -30,16 +28,14 @@ class ShapeError(ValueError):
     """Raised when operand shapes are invalid for a primitive."""
 
 
-def as_array(value, check_finite=False) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array, optionally rejecting NaN/Inf.
+def as_array(value) -> np.ndarray:
+    """Coerce to a C-contiguous float64 array.
 
     0-d arrays are preserved (``ascontiguousarray`` would promote them).
     """
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
         arr = np.ascontiguousarray(arr)
-    if check_finite and not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite values in tensor")
     return arr
 
 
@@ -72,21 +68,19 @@ class Node:
 class Tape:
     """Append-only record of nodes; creation order is a topological order.
 
-    ``checked`` validates finiteness of every node value (slow, for tests).
     ``kink_tol``, when set, makes piecewise primitives (relu, abs, clamp)
     count how many elements sit within ``kink_tol`` of a non-differentiable
-    point; :func:`finite_diff_check` uses this to skip coordinates whose
+    point, so that a finite-difference check can skip coordinates whose
     central differences straddle a kink.
     """
 
-    def __init__(self, checked=False, kink_tol=None):
+    def __init__(self, kink_tol=None):
         self.nodes: list[Node] = []
-        self.checked = checked
         self.kink_tol = kink_tol
         self.kink_hits = 0
 
     def node(self, op, inputs, value, backward_rule) -> Node:
-        value = as_array(value, check_finite=self.checked)
+        value = as_array(value)
         for inp in inputs:
             if inp.tape is not self:
                 raise ValueError(f"input node {inp.id} belongs to a different tape")
@@ -629,70 +623,3 @@ def backward(tape: Tape, root: Node, wanted=None) -> dict[int, np.ndarray]:
         out.update((nid, grads[nid]) for nid in keep if nid in grads)
     return {nid: np.array(out[nid], order="C") if nid in out
             else np.zeros_like(tape.nodes[nid].value) for nid in keep}
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-class FiniteDiffReport:
-    """Outcome of a central finite-difference gradient comparison."""
-
-    def __init__(self, max_rel_err, n_checked, n_skipped):
-        self.max_rel_err = max_rel_err
-        self.n_checked = n_checked
-        self.n_skipped = n_skipped
-
-    def __repr__(self):
-        return (
-            f"FiniteDiffReport(max_rel_err={self.max_rel_err:.3e}, "
-            f"checked={self.n_checked}, skipped={self.n_skipped})"
-        )
-
-
-def finite_diff_check(f, theta, step=1e-6, max_coords=None, rng=None) -> FiniteDiffReport:
-    """Compare reverse-mode gradients of ``f`` against central differences.
-
-    ``f(theta_node)`` must build a scalar on ``theta_node.tape``.  Coordinates
-    whose perturbed evaluations pass within ``10 * step`` of a piecewise kink
-    (relu / abs / clamp inputs) are skipped and counted, not failed.
-    """
-    theta = as_array(theta)
-    tol = 10.0 * step
-
-    def evaluate(values):
-        tape = Tape(kink_tol=tol)
-        root = f(tape.leaf(values))
-        if root.value.shape != ():
-            raise ValueError("finite_diff_check requires a scalar-valued function")
-        return tape, root
-
-    tape, root = evaluate(theta)
-    analytic = backward(tape, root)[tape.nodes[0].id].ravel()
-    base_kinky = tape.kink_hits > 0
-
-    flat = theta.ravel()
-    coords = np.arange(flat.size)
-    if max_coords is not None and flat.size > max_coords:
-        rng = rng or np.random.default_rng(0)
-        coords = rng.choice(flat.size, size=max_coords, replace=False)
-
-    max_err = 0.0
-    checked = skipped = 0
-    for i in coords:
-        if base_kinky:
-            skipped += 1
-            continue
-        bumped = flat.copy()
-        bumped[i] += step
-        t_hi, r_hi = evaluate(bumped.reshape(theta.shape))
-        bumped[i] -= 2 * step
-        t_lo, r_lo = evaluate(bumped.reshape(theta.shape))
-        if t_hi.kink_hits or t_lo.kink_hits:
-            skipped += 1
-            continue
-        fd = (float(r_hi.value) - float(r_lo.value)) / (2 * step)
-        err = abs(analytic[i] - fd) / (abs(fd) + 1e-12)
-        max_err = max(max_err, err)
-        checked += 1
-    return FiniteDiffReport(max_err, checked, skipped)

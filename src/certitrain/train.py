@@ -20,8 +20,8 @@ from .attack import AttackConfig, ce_rows, pgd_input, pgd_latent, sabr_select_re
 from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
 from .interval import box_from_ball, elided_bounds, propagate_box
-from .loss import (LossKind, ce_terms, combined_gradient, fast_regularizer_node, ibp_loss_terms,
-                   l1_penalty, margin_loss)
+from .loss import (LossKind, NumericError, ce_terms, combined_gradient, fast_regularizer_node,
+                   ibp_loss_terms, l1_penalty, margin_loss)
 from .net import (INIT_MODES, Network, build_architecture, forward_batch, forward_on_tape,
                   init_params, lift_params, param_grads, relu_layer_count)
 
@@ -43,10 +43,6 @@ CSV_COLUMNS = (
     "epoch", "step", "epsilon", "lr", "nat_loss", "ibp_loss", "taps_loss",
     "combined_loss", "grad_norm", "nat_acc", "taps_acc", "time_ms",
 )
-
-
-class NumericError(RuntimeError):
-    """Raised when a training loss or gradient turns non-finite."""
 
 
 @dataclass(frozen=True)

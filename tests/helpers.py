@@ -1,9 +1,23 @@
 """Shared builders for randomized test networks, tap-by-tap convolution patch
-kernels, a sequential PGD reference and the plain-enumeration margin oracle."""
+kernels, a sequential PGD reference and the plain-enumeration margin oracle,
+plus the test references the package does not ship: the central
+finite-difference gradient check (``finite_diff_check``, ``FiniteDiffReport``)
+and the parameters it perturbs (``lift_with_node``), the IDX writers
+(``write_idx_images``, ``write_idx_labels``), uniform points in a box
+(``sample_box``) and one loss value read off a fresh tape (``loss_value``)."""
+
+import gzip
+import struct
 
 import numpy as np
 
-from certitrain.net import Affine, Conv2d, Flatten, Network, ReLU, forward_backward_input
+from certitrain import tensor as T
+from certitrain import verify
+from certitrain.data import IMAGE_MAGIC, LABEL_MAGIC
+from certitrain.interval import BoxBounds, box_from_ball, input_box_nodes, propagate_box, propagate_box_on_tape
+from certitrain.loss import ce_terms, fast_regularizer_node, ibp_loss_terms, paired_loss_terms
+from certitrain.net import (Affine, Conv2d, Flatten, Network, ReLU, elide_final_layer,
+                            forward_backward_input, lift_params, split_for_classifier_relus)
 
 
 def random_mlp(rng, dims, num_classes=None, scale=1.0, split_relus=0):
@@ -13,8 +27,6 @@ def random_mlp(rng, dims, num_classes=None, scale=1.0, split_relus=0):
         layers.append(Affine(rng.normal(size=(b, a)) * scale / np.sqrt(a), rng.normal(size=b) * 0.1))
         if i < len(dims) - 2:
             layers.append(ReLU())
-    from certitrain.net import split_for_classifier_relus
-
     split = split_for_classifier_relus(layers, split_relus)
     return Network(layers, split, num_classes or dims[-1], (dims[0],))
 
@@ -54,8 +66,6 @@ def dyadic_mlp(rng, dims, num_classes=None, split_relus=0):
         layers.append(Affine(w, rng.integers(-4, 5, size=b) / 8.0))
         if i < len(dims) - 2:
             layers.append(ReLU())
-    from certitrain.net import split_for_classifier_relus
-
     split = split_for_classifier_relus(layers, split_relus)
     return Network(layers, split, num_classes or dims[-1], (dims[0],))
 
@@ -154,10 +164,6 @@ def reference_oracle(net, x, y, eps, budget_unstable=20, max_patterns=200_000):
     ``verify.exact_margin_oracle``, one LP per pattern and class with no
     pruning.  LPs go through ``verify.linprog``, so a test that patches it
     sees the reference's calls too."""
-    from certitrain import verify
-    from certitrain.interval import BoxBounds, box_from_ball, propagate_box
-    from certitrain.net import elide_final_layer
-
     x = np.asarray(x, dtype=np.float64)
     elided = elide_final_layer(net, y)
     box = box_from_ball(x, eps)
@@ -235,3 +241,126 @@ def reference_oracle(net, x, y, eps, budget_unstable=20, max_patterns=200_000):
     if stop:
         return verify.OracleResult("unknown", None, unstable_count, patterns, stop)
     return verify.OracleResult("exact", best, unstable_count, patterns)
+
+
+def loss_value(kind, *args, **taps_kw):
+    """One loss value read off a fresh tape through the builders training runs.
+
+    ``("ce", logits, y)``: cross-entropy of one sample's logits (``ce_terms``).
+    ``("ibp", net, box, y)``: one sample's IBP loss (``ibp_loss_terms``).
+    ``("taps", net, box, y, **taps_kw)``: one sample's attacked TAPS loss, the
+    second term of ``paired_loss_terms`` called with ``taps_kw``.
+    ``("reg", net, box, lam)``: the annealing regularizer of a batch box
+    (``fast_regularizer_node`` over the box's interval propagation).
+    """
+    tape = T.Tape()
+    if kind == "ce":
+        logits, y = args
+        logits = np.asarray(logits, dtype=np.float64)
+        return float(ce_terms(tape.constant(logits[None]), np.asarray([y])).value[0])
+    net, box, arg = args
+    params = lift_params(tape, net)
+    if kind == "reg":
+        collected = []
+        propagate_box_on_tape(net, params, input_box_nodes(tape, box), stop=len(net.layers) - 1,
+                              collect=collected)
+        return float(fast_regularizer_node(tape, net, params, box, arg, collected).value)
+    if kind == "ibp":
+        return float(ibp_loss_terms(tape, net, params, box, np.asarray([arg])).value[0])
+    _, attacked = paired_loss_terms(tape, net, params, box, np.asarray([arg]), **taps_kw)
+    return float(attacked.value[0])
+
+
+def lift_with_node(node, net, layer_idx, name):
+    """``lift_params`` on ``node.tape`` with parameter ``name`` of layer
+    ``layer_idx`` read from the flat ``node`` and every other one a constant."""
+    return [{p: T.reshape(node, a.shape) if (i, p) == (layer_idx, name) else node.tape.constant(a)
+             for p, a in zip(layer.param_names, layer.params())} or None
+            for i, layer in enumerate(net.layers)]
+
+
+def sample_box(box, n, rng):
+    """``n`` points drawn uniformly from a ``BoxBounds``."""
+    u = rng.uniform(size=(n,) + box.lo.shape)
+    return box.lo[None] + u * (box.hi - box.lo)[None]
+
+
+def write_idx_images(path, images_u8):
+    """Write (N, H, W) uint8 images as an IDX file (gzipped iff path ends .gz)."""
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    n, h, w = images_u8.shape
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(struct.pack(">iiii", IMAGE_MAGIC, n, h, w))
+        fh.write(images_u8.tobytes())
+
+
+def write_idx_labels(path, labels):
+    labels = np.asarray(labels, dtype=np.uint8)
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(struct.pack(">ii", LABEL_MAGIC, labels.shape[0]))
+        fh.write(labels.tobytes())
+
+
+class FiniteDiffReport:
+    """Outcome of a central finite-difference gradient comparison."""
+
+    def __init__(self, max_rel_err, n_checked, n_skipped):
+        self.max_rel_err = max_rel_err
+        self.n_checked = n_checked
+        self.n_skipped = n_skipped
+
+    def __repr__(self):
+        return (
+            f"FiniteDiffReport(max_rel_err={self.max_rel_err:.3e}, "
+            f"checked={self.n_checked}, skipped={self.n_skipped})"
+        )
+
+
+def finite_diff_check(f, theta, step=1e-6, max_coords=None, rng=None) -> FiniteDiffReport:
+    """Compare reverse-mode gradients of ``f`` against central differences.
+
+    ``f(theta_node)`` must build a scalar on ``theta_node.tape``.  Coordinates
+    whose perturbed evaluations pass within ``10 * step`` of a piecewise kink
+    (relu / abs / clamp inputs) are skipped and counted, not failed.
+    """
+    theta = T.as_array(theta)
+    tol = 10.0 * step
+
+    def evaluate(values):
+        tape = T.Tape(kink_tol=tol)
+        root = f(tape.leaf(values))
+        if root.value.shape != ():
+            raise ValueError("finite_diff_check requires a scalar-valued function")
+        return tape, root
+
+    tape, root = evaluate(theta)
+    analytic = T.backward(tape, root)[tape.nodes[0].id].ravel()
+    base_kinky = tape.kink_hits > 0
+
+    flat = theta.ravel()
+    coords = np.arange(flat.size)
+    if max_coords is not None and flat.size > max_coords:
+        rng = rng or np.random.default_rng(0)
+        coords = rng.choice(flat.size, size=max_coords, replace=False)
+
+    max_err = 0.0
+    checked = skipped = 0
+    for i in coords:
+        if base_kinky:
+            skipped += 1
+            continue
+        bumped = flat.copy()
+        bumped[i] += step
+        t_hi, r_hi = evaluate(bumped.reshape(theta.shape))
+        bumped[i] -= 2 * step
+        t_lo, r_lo = evaluate(bumped.reshape(theta.shape))
+        if t_hi.kink_hits or t_lo.kink_hits:
+            skipped += 1
+            continue
+        fd = (float(r_hi.value) - float(r_lo.value)) / (2 * step)
+        err = abs(analytic[i] - fd) / (abs(fd) + 1e-12)
+        max_err = max(max_err, err)
+        checked += 1
+    return FiniteDiffReport(max_err, checked, skipped)

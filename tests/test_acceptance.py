@@ -25,9 +25,10 @@ import pytest
 from certitrain import tensor as T
 from certitrain.attack import AttackConfig, margin_targets, sabr_select_region
 from certitrain.connector import ConnectorParams, connector_node, connector_partials
+from certitrain.checkpoint import load_checkpoint, save_checkpoint
 from certitrain.data import load_mnist_idx, synthetic_digits, synthetic_moons, take_subset
-from certitrain.interval import box_from_ball
-from certitrain.loss import LossKind, ibp_loss, paired_loss_terms, taps_loss
+from certitrain.interval import box_from_ball, ibp_bounds
+from certitrain.loss import LossKind, ibp_loss_terms, paired_loss_terms
 from certitrain.net import (
     Affine,
     Conv2d,
@@ -39,7 +40,8 @@ from certitrain.net import (
 from certitrain.train import Schedule, TrainConfig, natural_accuracy, taps_accuracy, train_run
 from certitrain.verify import certify_relaxed, exact_margin_oracle, method_bound, variance_theorem_check
 
-from helpers import random_mlp
+from helpers import finite_diff_check, lift_with_node, loss_value, random_mlp, sample_box
+from test_loss import grid_provider, grid_provider_single, relative_provider
 
 
 def report(criterion, ok, detail):
@@ -99,11 +101,9 @@ def test_criterion_1_soundness_suite():
             eps = float(rng.uniform(0.01, 0.15))
             y = int(rng.integers(net.num_classes))
             box = box_from_ball(x, eps)
-            pts = box.sample(1000, rng)
+            pts = sample_box(box, 1000, rng)
             elided = elide_final_layer(net, y)
             outs = forward_batch(elided, pts)
-            from certitrain.interval import ibp_bounds
-
             b = ibp_bounds(net, x, y, eps)
             violations += int(np.sum(outs < b.lo[None] - 1e-9))
             violations += int(np.sum(outs > b.hi[None] + 1e-9))
@@ -172,22 +172,9 @@ def _per_layer_fd(net, build_loss, step=3e-7, max_coords=12, rng=None):
     for layer_idx, name, arr in arrays:
 
         def f(node):
-            tape = node.tape
-            lifted = []
-            for i, layer in enumerate(net.layers):
-                if not isinstance(layer, (Affine, Conv2d)):
-                    lifted.append(None)
-                    continue
-                entry = {}
-                for pname in ("weight", "bias"):
-                    if i == layer_idx and pname == name:
-                        entry[pname] = T.reshape(node, arr.shape)
-                    else:
-                        entry[pname] = tape.constant(getattr(layer, pname))
-                lifted.append(entry)
-            return build_loss(tape, lifted)
+            return build_loss(node.tape, lift_with_node(node, net, layer_idx, name))
 
-        rep = T.finite_diff_check(f, arr.ravel(), step=step, max_coords=max_coords, rng=rng)
+        rep = finite_diff_check(f, arr.ravel(), step=step, max_coords=max_coords, rng=rng)
         worst = max(worst, rep.max_rel_err if rep.n_checked else 0.0)
         checked += rep.n_checked
     return worst, checked
@@ -205,8 +192,6 @@ def test_criterion_3_gradient_fidelity():
         box = box_from_ball(X, eps)
 
         def ibp_builder(tape, lifted):
-            from certitrain.loss import ibp_loss_terms
-
             return T.mean_all(ibp_loss_terms(tape, net, lifted, box, yv))
 
         err, n = _per_layer_fd(net, ibp_builder, rng=rng)
@@ -215,10 +200,8 @@ def test_criterion_3_gradient_fidelity():
 
         # frozen latent points at fixed relative positions; linear connector
         targets = margin_targets(3, yv)
-        rel = rng.uniform(0.25, 0.75, size=(2, targets.shape[1], net.latent_shape[0]))
-
-        def provider(lo, hi, y, _rng):
-            return lo[:, None, :] + rel * (hi - lo)[:, None, :], targets
+        rel = rng.uniform(0.25, 0.75, size=(2, targets.shape[1], net.shape_after(net.split_index)[0]))
+        provider = relative_provider(rel, targets)
 
         def taps_builder(tape, lifted):
             _, attacked = paired_loss_terms(
@@ -234,8 +217,6 @@ def test_criterion_3_gradient_fidelity():
                                     AttackConfig(steps=4), rng=np.random.default_rng(trial))
 
         def sabr_builder(tape, lifted):
-            from certitrain.loss import ibp_loss_terms
-
             return T.mean_all(ibp_loss_terms(tape, net, lifted, region, yv))
 
         err, n = _per_layer_fd(net, sabr_builder, rng=rng)
@@ -275,19 +256,17 @@ def test_criterion_4_loss_ordering():
         eps = float(rng.uniform(0.02, 0.12))
         cfg = AttackConfig(steps=3)
         box = box_from_ball(x[None], eps)
-        t = taps_loss(net, box, y, attack=cfg, rng=np.random.default_rng(trial))
-        if t > ibp_loss(net, box, y) + ulp:
+        t = loss_value("taps", net, box, y, attack=cfg, rng=np.random.default_rng(trial))
+        if t > loss_value("ibp", net, box, y) + ulp:
             taps_viol += 1
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.5 * eps,
                                     AttackConfig(steps=2), rng=np.random.default_rng(trial))
-        s = taps_loss(net, region, y, attack=cfg, rng=np.random.default_rng(trial))
-        b = ibp_loss(net, region, y)
+        s = loss_value("taps", net, region, y, attack=cfg, rng=np.random.default_rng(trial))
+        b = loss_value("ibp", net, region, y)
         if s > b + ulp:
             staps_viol += 1
 
     # multi >= single under grid-exact maximization on tiny classifiers
-    from test_loss import grid_provider, grid_provider_single
-
     below = ties = 0
     for trial in range(200):
         net = random_mlp(rng, [2, 5, 3], scale=2.0, split_relus=1)
@@ -295,9 +274,9 @@ def test_criterion_4_loss_ordering():
         y = int(rng.integers(3))
         eps = 0.12
         box = box_from_ball(x[None], eps)
-        multi = taps_loss(net, box, y, multi=True, rng=np.random.default_rng(0),
+        multi = loss_value("taps", net, box, y, multi=True, rng=np.random.default_rng(0),
                           latent_provider=grid_provider(net))
-        single = taps_loss(net, box, y, multi=False, rng=np.random.default_rng(0),
+        single = loss_value("taps", net, box, y, multi=False, rng=np.random.default_rng(0),
                            latent_provider=grid_provider_single(net))
         if multi < single - 1e-9:
             below += 1
@@ -541,8 +520,6 @@ def test_criterion_9_ablation_trends():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_determinism_persistence():
-    from certitrain.checkpoint import load_checkpoint, save_checkpoint
-
     ds = synthetic_moons(300, noise=0.06, seed=51)
     cfg = TrainConfig(
         loss=LossKind(tag="taps_multi", attack=AttackConfig(steps=3)),

@@ -121,7 +121,7 @@ def test_seeded_determinism():
 def test_latent_degenerate_box_is_identity():
     rng = np.random.default_rng(6)
     net = random_mlp(rng, [4, 6, 5, 3], split_relus=1)
-    z = rng.normal(size=(2,) + net.latent_shape)
+    z = rng.normal(size=(2,) + net.shape_after(net.split_index))
     box = BoxBounds(z.copy(), z.copy())
     got = pgd_latent(net, box, np.array([0, 1]), AttackConfig(steps=5), multi=False,
                      rng=np.random.default_rng(0))
@@ -158,7 +158,7 @@ def test_multi_estimator_dominates_single_on_grid():
     """Per-target exact maxima dominate the single point's logit differences."""
     rng = np.random.default_rng(9)
     net = random_mlp(rng, [2, 6, 2], scale=2.0, split_relus=1)
-    assert net.latent_shape == (2,)
+    assert net.shape_after(net.split_index) == (2,)
     lo = np.array([[-0.5, -0.5]])
     hi = np.array([[0.7, 0.9]])
     y = np.array([0])
@@ -284,7 +284,7 @@ def test_pgd_input_matches_sequential_reference(per_row):
 def test_pgd_latent_multi_matches_sequential_reference():
     net, _, y = _dyadic_case(22, dims=(4, 6, 6, 4), split_relus=1)
     rng = np.random.default_rng(31)
-    lo = rng.integers(-8, 9, size=(len(y),) + net.latent_shape) / 8.0
+    lo = rng.integers(-8, 9, size=(len(y),) + net.shape_after(net.split_index)) / 8.0
     hi = lo + rng.integers(0, 5, size=lo.shape) / 4.0
     got = {}
     for restarts in (1, 3):

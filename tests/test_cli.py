@@ -21,10 +21,10 @@ from certitrain.cli import (
     config_from_dict,
     main,
 )
-from certitrain.data import synthetic_digits, write_idx_images, write_idx_labels
+from certitrain.data import synthetic_digits
 from certitrain.net import build_architecture, init_params
 
-from helpers import dyadic_mlp
+from helpers import dyadic_mlp, write_idx_images, write_idx_labels
 
 
 def fast_overrides(tmp_path, **kw):
@@ -256,6 +256,20 @@ def test_diverging_train_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.strip().splitlines()[-1].startswith("numeric failure: non-finite loss")
+
+
+def test_attacked_loss_above_bound_exits_3(tmp_path, capsys):
+    """At lr0 1e10 the losses stay finite but reach ~5e10, where the bound
+    cancels terms of ~1e24; the attacked loss then tops it by ~1.6e6, and
+    the run ends as a numeric failure naming both values."""
+    rc = main(["train", "--dataset", "moons", "--subset", "200", "--test-subset", "20",
+               "--epsilon", "0.05", "--no-record-time", "--hidden", "8,8",
+               "--total-epochs", "3", "--annealing-epochs", "2", "--warmup-epochs", "1",
+               "--decay1", "2", "--decay2", "3", "--lr0", "1e10",
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.strip().splitlines()[-1].startswith("numeric failure: attacked loss")
 
 
 def test_unknown_certify_method_rejected(tmp_path, capsys):

@@ -13,9 +13,9 @@ from certitrain.data import (
     synthetic_moons,
     take_subset,
     train_val_split,
-    write_idx_images,
-    write_idx_labels,
 )
+
+from helpers import write_idx_images, write_idx_labels
 
 
 @pytest.fixture

@@ -16,9 +16,9 @@ from certitrain.interval import (
     propagate_box_on_tape,
 )
 from certitrain.net import (Affine, ReLU, Conv2d, build_architecture, init_params, lift_params,
-                            forward_batch, elide_final_layer)
+                            forward_batch, forward_concrete, elide_final_layer)
 
-from helpers import random_cnn, random_mlp
+from helpers import finite_diff_check, lift_with_node, random_cnn, random_mlp, sample_box
 
 
 def box_through(layer, box):
@@ -77,8 +77,6 @@ def test_eps_zero_bounds_equal_forward():
     net = random_mlp(rng, [5, 8, 4])
     x = rng.uniform(0, 1, size=5)
     b = ibp_bounds(net, x, y=1, eps=0.0)
-    from certitrain.net import forward_concrete
-
     o = forward_concrete(net, x)
     np.testing.assert_allclose(b.lo, o - o[1], atol=1e-9)
     np.testing.assert_allclose(b.hi, o - o[1], atol=1e-9)
@@ -89,13 +87,13 @@ def test_extractor_mode_stops_at_split():
     net = random_mlp(rng, [5, 8, 6, 4], split_relus=1)
     x = rng.uniform(0, 1, size=5)
     b = propagate_box(net, box_from_ball(x[None], 0.05), stop=net.split_index)
-    assert b.lo.shape == (1,) + net.latent_shape
+    assert b.lo.shape == (1,) + net.shape_after(net.split_index)
 
 
 def mc_soundness_violations(net, x, y, eps, n=1000, seed=0, slack=1e-9):
     box = box_from_ball(x, eps)
     rng = np.random.default_rng(seed)
-    samples = box.sample(n, rng)
+    samples = sample_box(box, n, rng)
     elided = elide_final_layer(net, y)
     outs = forward_batch(elided, samples)
     b = ibp_bounds(net, x, y, eps)
@@ -159,27 +157,17 @@ def test_bound_gradients_match_fd():
     affine_idxs = [i for i, l in enumerate(net.layers) if isinstance(l, Affine)]
 
     for layer_idx in affine_idxs:
-        shape = net.layers[layer_idx].weight.shape
 
         def f(node):
             tape = node.tape
-            lifted = []
-            for i, layer in enumerate(net.layers):
-                if not isinstance(layer, Affine):
-                    lifted.append(None)
-                elif i == layer_idx:
-                    lifted.append({"weight": T.reshape(node, shape),
-                                   "bias": tape.constant(layer.bias)})
-                else:
-                    lifted.append({"weight": tape.constant(layer.weight),
-                                   "bias": tape.constant(layer.bias)})
+            lifted = lift_with_node(node, net, layer_idx, "weight")
             box = box_from_ball(x[None], eps)
             out = propagate_box_on_tape(net, lifted, input_box_nodes(tape, box))
             mix = T.add(out.hi, T.scale(out.lo, 0.7))
             return T.sum_all(T.mul(mix, tape.constant(coeff[None, :])))
 
         theta0 = net.layers[layer_idx].weight.ravel()
-        report = T.finite_diff_check(f, theta0, step=1e-6, max_coords=30, rng=rng)
+        report = finite_diff_check(f, theta0, step=1e-6, max_coords=30, rng=rng)
         assert report.n_checked > 10
         assert report.max_rel_err < 1e-5, report
 

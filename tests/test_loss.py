@@ -4,22 +4,14 @@ import numpy as np
 import pytest
 
 from certitrain import tensor as T
-from certitrain.attack import AttackConfig, margin_targets
+from certitrain.attack import AttackConfig, margin_targets, sabr_select_region
 from certitrain.connector import ConnectorParams
 from certitrain.interval import box_from_ball
-from certitrain.loss import (
-    LossKind,
-    ce_loss,
-    combined_gradient,
-    fast_regularizer,
-    ibp_loss,
-    l1_penalty,
-    margin_loss,
-    taps_loss,
-)
-from certitrain.net import forward_batch, forward_concrete, init_params, build_architecture
+from certitrain.loss import LossKind, combined_gradient, l1_penalty, margin_loss, paired_loss_terms
+from certitrain.net import (Affine, Network, ReLU, build_architecture, forward_batch,
+                            forward_concrete, init_params, lift_params)
 
-from helpers import random_mlp
+from helpers import loss_value, random_mlp
 
 
 def ball(x, eps):
@@ -29,11 +21,11 @@ def ball(x, eps):
 
 def test_ce_two_class_zero_diff():
     # logits equal => other-class logit difference is 0 => CE = ln 2
-    assert abs(ce_loss(np.array([1.0, 1.0]), 0) - np.log(2)) < 1e-12
+    assert abs(loss_value("ce", np.array([1.0, 1.0]), 0) - np.log(2)) < 1e-12
 
 
 def test_ce_limit_confident():
-    assert ce_loss(np.array([1e6, 0.0]), 0) < 1e-9
+    assert loss_value("ce", np.array([1e6, 0.0]), 0) < 1e-9
 
 
 def test_margin_loss_certified():
@@ -56,15 +48,14 @@ def test_ibp_loss_eps_zero_equals_ce():
     net = random_mlp(rng, [5, 8, 4])
     x = rng.uniform(0, 1, size=5)
     for y in range(4):
-        assert abs(ibp_loss(net, ball(x, 0.0), y) - ce_loss(forward_concrete(net, x), y)) < 1e-9
+        ce = loss_value("ce", forward_concrete(net, x), y)
+        assert abs(loss_value("ibp", net, ball(x, 0.0), y) - ce) < 1e-9
 
 
 def test_ibp_loss_linear_net_equals_worst_corner():
     rng = np.random.default_rng(1)
     w = rng.normal(size=(3, 6))
     b = rng.normal(size=3)
-    from certitrain.net import Affine, Network
-
     net = Network([Affine(w, b)], 1, 3, (6,))
     x = rng.uniform(0.3, 0.7, size=6)
     eps, y = 0.05, 1
@@ -73,7 +64,7 @@ def test_ibp_loss_linear_net_equals_worst_corner():
     be = b - b[y]
     upper = we @ x + np.abs(we) @ (eps * np.ones(6)) + be
     expect = np.log1p(np.exp(np.delete(upper, y)).sum())
-    assert abs(ibp_loss(net, ball(x, eps), y) - expect) < 1e-9
+    assert abs(loss_value("ibp", net, ball(x, eps), y) - expect) < 1e-9
 
 
 def test_ibp_loss_monotone_in_eps():
@@ -82,7 +73,7 @@ def test_ibp_loss_monotone_in_eps():
         net = random_mlp(rng, [4, 7, 3], scale=1.5)
         x = rng.uniform(0, 1, size=4)
         y = int(rng.integers(3))
-        losses = [ibp_loss(net, ball(x, e), y) for e in (0.0, 0.02, 0.05, 0.1)]
+        losses = [loss_value("ibp", net, ball(x, e), y) for e in (0.0, 0.02, 0.05, 0.1)]
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:])), losses
 
 
@@ -92,8 +83,8 @@ def test_taps_equals_ibp_with_empty_classifier():
     assert net.split_index == len(net.layers)
     x = rng.uniform(0, 1, size=5)
     for y in range(3):
-        a = taps_loss(net, ball(x, 0.08), y, rng=np.random.default_rng(0))
-        b = ibp_loss(net, ball(x, 0.08), y)
+        a = loss_value("taps", net, ball(x, 0.08), y, rng=np.random.default_rng(0))
+        b = loss_value("ibp", net, ball(x, 0.08), y)
         assert abs(a - b) < 1e-12
 
 
@@ -102,9 +93,9 @@ def test_taps_loss_eps_zero_equals_ce():
     net = random_mlp(rng, [5, 8, 6, 3], split_relus=1)
     x = rng.uniform(0, 1, size=5)
     y = 2
-    got = taps_loss(net, ball(x, 0.0), y, attack=AttackConfig(steps=3),
+    got = loss_value("taps", net, ball(x, 0.0), y, attack=AttackConfig(steps=3),
                     rng=np.random.default_rng(0))
-    assert abs(got - ce_loss(forward_concrete(net, x), y)) < 1e-9
+    assert abs(got - loss_value("ce", forward_concrete(net, x), y)) < 1e-9
 
 
 def grid_provider(net, n=25):
@@ -150,16 +141,16 @@ def test_taps_orderings_with_grid_exact_latent_max():
     rng = np.random.default_rng(5)
     for trial in range(10):
         net = random_mlp(rng, [2, 5, 3], scale=2.0, split_relus=1)
-        assert net.latent_shape == (2,)
+        assert net.shape_after(net.split_index) == (2,)
         x = rng.uniform(0, 1, size=2)
         y = int(rng.integers(3))
         eps = 0.15
         box = ball(x, eps)
-        multi = taps_loss(net, box, y, multi=True, rng=np.random.default_rng(0),
+        multi = loss_value("taps", net, box, y, multi=True, rng=np.random.default_rng(0),
                           latent_provider=grid_provider(net))
-        single = taps_loss(net, box, y, multi=False, rng=np.random.default_rng(0),
+        single = loss_value("taps", net, box, y, multi=False, rng=np.random.default_rng(0),
                            latent_provider=grid_provider_single(net))
-        full_ibp = ibp_loss(net, box, y)
+        full_ibp = loss_value("ibp", net, box, y)
         assert multi >= single - 1e-9
         assert multi <= full_ibp + 1e-12
         assert single <= full_ibp + 1e-12
@@ -172,21 +163,20 @@ def test_taps_leq_ibp_with_pgd():
         x = rng.uniform(0, 1, size=5)
         y = int(rng.integers(4))
         cfg = AttackConfig(steps=5)
-        attacked = taps_loss(net, ball(x, 0.1), y, attack=cfg, rng=np.random.default_rng(trial))
-        assert attacked <= ibp_loss(net, ball(x, 0.1), y) + 1e-12
+        attacked = loss_value("taps", net, ball(x, 0.1), y, attack=cfg,
+                              rng=np.random.default_rng(trial))
+        assert attacked <= loss_value("ibp", net, ball(x, 0.1), y) + 1e-12
 
 
 def test_sabr_tau_equals_eps_is_ibp():
-    from certitrain.attack import sabr_select_region
-
     rng = np.random.default_rng(7)
     net = random_mlp(rng, [5, 8, 3])
     x = rng.uniform(0, 1, size=5)
     y = 1
     region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.1, AttackConfig(steps=4),
                                 rng=np.random.default_rng(0))
-    a = ibp_loss(net, region, y)
-    b = ibp_loss(net, ball(x, 0.1), y)
+    a = loss_value("ibp", net, region, y)
+    b = loss_value("ibp", net, ball(x, 0.1), y)
     assert abs(a - b) < 1e-12
 
 
@@ -196,24 +186,22 @@ def test_staps_empty_classifier_is_sabr():
     x = rng.uniform(0, 1, size=5)
     y = 0
     region = ball(x, 0.04)
-    a = taps_loss(net, region, y, rng=np.random.default_rng(0))
-    b = ibp_loss(net, region, y)
+    a = loss_value("taps", net, region, y, rng=np.random.default_rng(0))
+    b = loss_value("ibp", net, region, y)
     assert abs(a - b) < 1e-12
 
 
 def test_staps_leq_sabr_paired_regions():
     rng = np.random.default_rng(9)
-    from certitrain.attack import sabr_select_region
-
     for trial in range(20):
         net = random_mlp(rng, [5, 8, 6, 3], scale=1.5, split_relus=1)
         x = rng.uniform(0, 1, size=5)
         y = int(rng.integers(3))
         region = sabr_select_region(net, x[None], np.array([y]), 0.1, 0.04,
                                     AttackConfig(steps=4), rng=np.random.default_rng(trial))
-        s = taps_loss(net, region, y, attack=AttackConfig(steps=5),
+        s = loss_value("taps", net, region, y, attack=AttackConfig(steps=5),
                       rng=np.random.default_rng(trial))
-        b = ibp_loss(net, region, y)
+        b = loss_value("ibp", net, region, y)
         assert s <= b + 1e-12
 
 
@@ -238,9 +226,6 @@ def numeric_batch_grad(net, X, y, eps, kind, base_points, base_targets, step=1e-
     def value(theta):
         m = rebuild(theta)
         tape = T.Tape()
-        from certitrain.net import lift_params
-        from certitrain.loss import paired_loss_terms
-
         params = lift_params(tape, m)
         provider = relative_provider(base_points, base_targets)
         bound, attacked = paired_loss_terms(
@@ -279,7 +264,7 @@ def test_combined_gradient_alpha_half_is_product_rule():
 
     # fix relative latent positions once (interior, away from connector kinks)
     t = margin_targets(3, y)
-    rel = rng.uniform(0.2, 0.8, size=(4, t.shape[1], net.latent_shape[0]))
+    rel = rng.uniform(0.2, 0.8, size=(4, t.shape[1], net.shape_after(net.split_index)[0]))
 
     kind = LossKind(tag="taps_multi", w_taps=1.0, connector=ConnectorParams(c=1.0))
     grads, diag = combined_gradient(net, box_from_ball(X, eps), y, kind, np.random.default_rng(0),
@@ -305,7 +290,7 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
     X = rng.uniform(0.2, 0.8, size=(3, 3))
     y = rng.integers(0, 3, size=3)
     t = margin_targets(3, y)
-    rel = rng.uniform(0.2, 0.8, size=(3, t.shape[1], net.latent_shape[0]))
+    rel = rng.uniform(0.2, 0.8, size=(3, t.shape[1], net.shape_after(net.split_index)[0]))
     provider = relative_provider(rel, t)
 
     inf_kind = LossKind(tag="taps_multi", w_taps=float("inf"))
@@ -314,9 +299,6 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
                                     latent_provider=provider)
 
     # reference: gradient of mean attacked loss alone, scaled by 2 * mean bound
-    from certitrain.loss import paired_loss_terms
-    from certitrain.net import lift_params
-
     tape = T.Tape()
     params = lift_params(tape, net)
     bound, attacked = paired_loss_terms(tape, net, params, box, y, multi=True,
@@ -328,26 +310,17 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
     np.testing.assert_allclose(flatten_grads(g_inf), flatten_grads(ref), atol=1e-12)
 
 
-def test_fast_regularizer_zero_lambda():
-    rng = np.random.default_rng(12)
-    net = random_mlp(rng, [4, 6, 3])
-    X = rng.uniform(0, 1, size=(5, 4))
-    assert fast_regularizer(net, box_from_ball(X, 0.05), 0.0) == 0.0
-
-
 def test_fast_regularizer_nonnegative():
     rng = np.random.default_rng(13)
     for trial in range(10):
         net = random_mlp(rng, [4, 8, 6, 3], scale=float(rng.uniform(0.5, 3)))
         X = rng.uniform(0, 1, size=(6, 4))
-        assert fast_regularizer(net, box_from_ball(X, 0.1), 0.5) >= 0.0
+        assert loss_value("reg", net, box_from_ball(X, 0.1), 0.5) >= 0.0
 
 
 def test_fast_regularizer_prefers_balanced_stable_net():
     """A hand-balanced network scores no worse than random kaiming inits."""
     rng = np.random.default_rng(14)
-    from certitrain.net import Affine, Network, ReLU
-
     d = 8
     # antisymmetric rows: half the units certainly active, half certainly dead
     w1 = np.vstack([np.eye(d), -np.eye(d)]) * 0.05
@@ -356,13 +329,13 @@ def test_fast_regularizer_prefers_balanced_stable_net():
     balanced = Network(layers, len(layers), 3, (d,))
     X = rng.uniform(0.3, 0.7, size=(10, d))
     box = box_from_ball(X, 0.05)
-    val_balanced = fast_regularizer(balanced, box, 1.0)
+    val_balanced = loss_value("reg", balanced, box, 1.0)
 
     vals_random = []
     base = build_architecture("mlp", (d,), 3, 0, hidden=(2 * d,))
     for seed in range(5):
         m = init_params(base, seed, "kaiming")
-        vals_random.append(fast_regularizer(m, box, 1.0))
+        vals_random.append(loss_value("reg", m, box, 1.0))
     assert val_balanced <= min(vals_random) + 1e-9, (val_balanced, vals_random)
 
 

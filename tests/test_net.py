@@ -16,7 +16,7 @@ from certitrain.net import (
     init_params,
     relu_layer_count,
 )
-from certitrain.interval import box_from_ball
+from certitrain.interval import box_from_ball, propagate_box
 
 from helpers import random_mlp
 
@@ -26,18 +26,18 @@ def test_mlp_split_before_last_hidden_affine():
     # layers: A R A R A; one classifier ReLU => split before the second affine
     assert [type(l).__name__ for l in net.layers] == ["Affine", "ReLU", "Affine", "ReLU", "Affine"]
     assert net.split_index == 2
-    assert [type(l).__name__ for l in net.classifier] == ["Affine", "ReLU", "Affine"]
+    assert [type(l).__name__ for l in net.layers[net.split_index:]] == ["Affine", "ReLU", "Affine"]
 
 
 def test_cnn3_zero_classifier_relus_is_pure_extractor():
     net = build_architecture("cnn3", (1, 28, 28), 10, classifier_relu_count=0)
     assert net.split_index == len(net.layers)
-    assert net.relu_count() == 3
+    assert sum(isinstance(l, ReLU) for l in net.layers) == 3
 
 
 def test_cnn7_has_six_relus_and_rejects_seven():
     net = build_architecture("cnn7", (1, 28, 28), 10, classifier_relu_count=6)
-    assert net.relu_count() == 6
+    assert sum(isinstance(l, ReLU) for l in net.layers) == 6
     assert net.split_index == 0
     with pytest.raises(ValueError, match="classifier_relu_count"):
         build_architecture("cnn7", (1, 28, 28), 10, classifier_relu_count=7)
@@ -54,7 +54,7 @@ def test_relu_layer_count_matches_built_network(arch, shape, hidden):
     relus = relu_layer_count(arch, hidden)
     for count in range(relus + 1):
         net = build_architecture(arch, shape, 10, count, hidden=hidden)
-        assert net.relu_count() == relus
+        assert sum(isinstance(l, ReLU) for l in net.layers) == relus
         relu_at = [i for i, l in enumerate(net.layers) if isinstance(l, ReLU)]
         assert net.split_index == (relu_at[-count] - 1 if count else len(net.layers))
 
@@ -119,8 +119,6 @@ def test_ibp_stable_radius_growth():
         rng = np.random.default_rng(seed + 1000)
         x = rng.uniform(0.2, 0.8, size=64)
         box = box_from_ball(x[None], eps)
-        from certitrain.interval import propagate_box
-
         collected = []
         propagate_box(net, box, collect=collected)
         input_radius = eps

@@ -9,7 +9,7 @@ from certitrain.interval import box_from_ball, ibp_bounds
 from certitrain.net import elide_final_layer, forward_batch
 from certitrain.train import Schedule, epsilon_schedule
 
-from helpers import random_mlp
+from helpers import random_mlp, sample_box
 
 
 @settings(max_examples=30, deadline=None)
@@ -20,7 +20,7 @@ def test_interval_soundness_property(seed, eps):
     x = rng.uniform(0, 1, size=4)
     y = int(rng.integers(3))
     box = box_from_ball(x, eps)
-    pts = box.sample(200, rng)
+    pts = sample_box(box, 200, rng)
     outs = forward_batch(elide_final_layer(net, y), pts)
     b = ibp_bounds(net, x, y, eps)
     assert np.all(outs >= b.lo[None] - 1e-9)

@@ -10,11 +10,23 @@ from certitrain import tensor as T
 from certitrain.interval import box_from_ball
 from certitrain.loss import fast_regularizer_node, ibp_loss_terms
 from certitrain.net import build_architecture, init_params, lift_params
-from helpers import reference_col2im, reference_im2col
+from helpers import finite_diff_check, reference_col2im, reference_im2col
+
+
+_scalar_tapes = []
 
 
 def scalar_tape():
-    return T.Tape(checked=True)
+    """A fresh tape whose node values must all be finite when the test ends."""
+    _scalar_tapes.append(T.Tape())
+    return _scalar_tapes[-1]
+
+
+@pytest.fixture(autouse=True)
+def _scalar_tapes_finite():
+    _scalar_tapes.clear()
+    yield
+    assert all(np.all(np.isfinite(n.value)) for tape in _scalar_tapes for n in tape.nodes)
 
 
 def test_matmul_value():
@@ -246,7 +258,7 @@ def test_primitive_gradients_match_finite_differences(name, builder):
     def f(node):
         return builder(node.tape, node)
 
-    report = T.finite_diff_check(f, theta, step=1e-6)
+    report = finite_diff_check(f, theta, step=1e-6)
     assert report.n_checked > 0
     assert report.max_rel_err < 1e-5, report
 
@@ -261,7 +273,7 @@ def test_matmul_gradient_fd():
         out = T.matmul(m, tape.constant(proj))
         return T.sum_all(T.mul(out, out))
 
-    report = T.finite_diff_check(f, rng.normal(size=12), step=1e-6)
+    report = finite_diff_check(f, rng.normal(size=12), step=1e-6)
     assert report.max_rel_err < 1e-6
 
 
@@ -276,7 +288,7 @@ def test_conv2d_gradient_fd():
         out = T.conv2d(tape.constant(x), w, b, stride=2, padding=1)
         return T.sum_all(T.mul(out, out))
 
-    report = T.finite_diff_check(f, rng.normal(size=24), step=1e-6)
+    report = finite_diff_check(f, rng.normal(size=24), step=1e-6)
     assert report.max_rel_err < 1e-5
 
 
@@ -290,7 +302,7 @@ def test_conv2d_input_gradient_fd():
         out = T.conv2d(x, tape.constant(w), tape.constant(np.zeros(2)), stride=1, padding=1)
         return T.sum_all(T.mul(out, out))
 
-    report = T.finite_diff_check(f, rng.normal(size=16), step=1e-6)
+    report = finite_diff_check(f, rng.normal(size=16), step=1e-6)
     assert report.max_rel_err < 1e-5
 
 
@@ -310,7 +322,7 @@ def test_conv2d_all_gradients_fd():
             out = T.conv2d(nodes["x"], nodes["w"], nodes["b"], stride=2, padding=1)
             return T.sum_all(T.mul(out, tape.constant(coeff)))
 
-        report = T.finite_diff_check(f, value.ravel(), step=1e-6)
+        report = finite_diff_check(f, value.ravel(), step=1e-6)
         assert report.n_checked == value.size
         assert report.max_rel_err < 1e-6, (name, report)
 
@@ -340,7 +352,7 @@ def test_label_primitives_values_and_grads():
         m = T.reshape(node_, (3, 4))
         return T.sum_all(T.mul(T.drop_col(T.sub_col_pick(m, y), y), node_.tape.constant(weights)))
 
-    report = T.finite_diff_check(f, a.ravel(), step=1e-6)
+    report = finite_diff_check(f, a.ravel(), step=1e-6)
     assert report.max_rel_err < 1e-6
 
 
@@ -363,7 +375,7 @@ def test_elided_abs_linear_value_and_grad():
         o = T.elided_abs_linear(node.tape.constant(delta), m, y)
         return T.sum_all(T.mul(o, node.tape.constant(coeff)))
 
-    report = T.finite_diff_check(f_w, w.ravel(), step=1e-7)
+    report = finite_diff_check(f_w, w.ravel(), step=1e-7)
     assert report.max_rel_err < 1e-5, report
 
     def f_d(node):
@@ -371,7 +383,7 @@ def test_elided_abs_linear_value_and_grad():
         o = T.elided_abs_linear(m, node.tape.constant(w), y)
         return T.sum_all(T.mul(o, node.tape.constant(coeff)))
 
-    report = T.finite_diff_check(f_d, delta.ravel(), step=1e-7)
+    report = finite_diff_check(f_d, delta.ravel(), step=1e-7)
     assert report.max_rel_err < 1e-5, report
 
 
@@ -389,7 +401,7 @@ def test_chain_rule_property(values, seed):
         h = T.relu(h)
         return T.sum_all(T.log1p_sum_exp_rows(h))
 
-    report = T.finite_diff_check(f, theta, step=1e-6)
+    report = finite_diff_check(f, theta, step=1e-6)
     if report.n_checked:
         assert report.max_rel_err < 1e-4
 
@@ -410,23 +422,14 @@ def test_determinism_bitwise():
 
 
 def test_finite_diff_quadratic_exact():
-    report = T.finite_diff_check(lambda n: T.sum_all(T.mul(n, n)), np.array([3.0]), step=1e-6)
+    report = finite_diff_check(lambda n: T.sum_all(T.mul(n, n)), np.array([3.0]), step=1e-6)
     assert report.max_rel_err < 1e-9
 
 
 def test_finite_diff_skips_kink_coordinates():
     # theta sits exactly on the relu kink: the check must skip, not fail.
-    report = T.finite_diff_check(lambda n: T.sum_all(T.relu(n)), np.array([0.0, 1.0]), step=1e-6)
+    report = finite_diff_check(lambda n: T.sum_all(T.relu(n)), np.array([0.0, 1.0]), step=1e-6)
     assert report.n_skipped >= 1
-
-
-def test_checked_tape_rejects_nonfinite():
-    tape = T.Tape(checked=True)
-    x = tape.leaf(np.array([1.0]))
-    with pytest.raises(ValueError, match="non-finite"):
-        T.scale(x, np.inf)
-    # the unchecked tape records the same value
-    assert np.isinf(T.scale(T.Tape().leaf(np.array([1.0])), np.inf).value).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Schedules, optimizer steps, smoke runs, determinism, persistence."""
 
+import sys
+import tempfile
+
 import numpy as np
 import pytest
 
+import certitrain.attack as attack
+import certitrain.train as train
 from certitrain.attack import AttackConfig
 from certitrain.checkpoint import load_checkpoint, save_checkpoint
 from certitrain.data import synthetic_moons
-from certitrain.loss import LossKind
+from certitrain.loss import LossKind, l1_penalty
 from certitrain.net import build_architecture, init_params
 from certitrain.train import (
     CSV_COLUMNS,
@@ -23,6 +28,7 @@ from certitrain.train import (
     train_run,
     train_step,
 )
+from certitrain.verify import certify_ibp
 
 
 def small_schedule(**kw):
@@ -136,8 +142,6 @@ def test_moons_natural_training_reaches_99():
         init="kaiming",
     )
     # 8 epochs x 25 steps = 200 steps on the 900-sample train split
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         result = train_run(config, ds, tmp)
     assert result["history"][-1]["step"] == 200
@@ -148,8 +152,6 @@ def test_annealing_never_touches_latent_pipeline():
     ds = synthetic_moons(120, seed=5)
     config = moons_config("taps_multi", classifier_relus=1)
     sched = config.schedule
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         result = train_run(config, ds, tmp)
     state = result["state"]
@@ -162,10 +164,6 @@ def test_annealing_never_touches_latent_pipeline():
 
 def test_staps_step_selects_one_region(tmp_path, monkeypatch):
     """Each STAPS step with eps > 0 runs the SABR attack once, annealing or not."""
-    import sys
-
-    import certitrain.attack as attack
-
     calls = []
     original = attack.sabr_select_region
 
@@ -261,8 +259,6 @@ def test_taps_accuracy_eps_zero_is_natural():
 def test_taps_accuracy_empty_classifier_is_certified():
     ds = synthetic_moons(80, seed=13)
     net = init_params(build_architecture("mlp", (2,), 2, 0, hidden=(16,)), 5)
-    from certitrain.verify import certify_ibp
-
     t = taps_accuracy(net, ds.images, ds.labels, 0.05, rng=np.random.default_rng(0))
     certified = np.mean([
         certify_ibp(net, ds.images[i], int(ds.labels[i]), 0.05)[0]
@@ -272,8 +268,6 @@ def test_taps_accuracy_empty_classifier_is_certified():
 
 
 def test_l1_penalty_joins_the_step():
-    from certitrain.loss import l1_penalty
-
     ds = synthetic_moons(40, seed=15)
     net = init_params(build_architecture("mlp", (2,), 2, 1, hidden=(8, 8)), 3)
     batch = (ds.images[:8], ds.labels[:8])
@@ -304,8 +298,6 @@ def test_nonfinite_loss_aborts():
 
 
 def test_nonfinite_gradient_names_first_parameter(monkeypatch):
-    import certitrain.train as train
-
     ds = synthetic_moons(40, seed=15)
     net = build_architecture("mlp", (2,), 2, 0, hidden=(8,))
     grads = [np.zeros_like(a) for a in net.param_arrays()]

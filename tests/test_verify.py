@@ -1,10 +1,19 @@
 """Oracle exactness, margin sandwich, method bounds, estimator variance."""
 
+import json
+import tempfile
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy import sparse
 
+from certitrain import tensor as T
+from certitrain import verify as V
 from certitrain.attack import AttackConfig
-from certitrain.interval import box_from_ball
+from certitrain.data import synthetic_moons
+from certitrain.interval import box_from_ball, ibp_bounds
+from certitrain.loss import LossKind
 from certitrain.net import Affine, Network, ReLU, elide_final_layer, forward_batch
 from certitrain.verify import (
     LP_TOLERANCE,
@@ -19,8 +28,9 @@ from certitrain.verify import (
     variance_theorem_check,
     verdict_json_line,
 )
+from certitrain.train import Schedule, TrainConfig, _certified_mask, taps_accuracy, train_run
 
-from helpers import dyadic_mlp, random_cnn, random_mlp, reference_oracle
+from helpers import dyadic_mlp, random_cnn, random_mlp, reference_oracle, sample_box
 
 
 def test_certify_eps_zero_correct_sample():
@@ -85,8 +95,6 @@ def test_oracle_respects_budget():
 
 
 def test_oracle_solver_failure_returns_unknown(monkeypatch):
-    from certitrain import verify as V
-
     class Failed:
         status, x = 4, None
 
@@ -136,8 +144,6 @@ def test_pruned_oracle_matches_plain_enumeration_bitwise(seed):
 
 
 def _spy_linprog(monkeypatch, on_result):
-    from certitrain import verify as V
-
     real = V.linprog
 
     def spy(*args, **kwargs):
@@ -159,8 +165,6 @@ def _tangent_net():
 def test_tightening_rejects_only_patterns_the_solver_finds_infeasible(monkeypatch):
     """Each pattern the bound tightening rejects got status 2 on the first LP
     plain enumeration solves for it."""
-    from certitrain import verify as V
-
     first_status = {}
 
     def key(a_ub, b_ub):
@@ -211,8 +215,6 @@ def test_prune_bounds_cap_the_oracle_value_at_every_solver_point():
     """The corner bound caps the oracle's float64 ``m @ x + v`` at the box's
     maximising corner, and the tightened box keeps points that break the
     box by HiGHS's tolerance."""
-    from certitrain import verify as V
-
     rng = np.random.default_rng(4)
     for d in (2, 8, 64, 784):
         for _ in range(20):
@@ -230,8 +232,6 @@ def test_prune_bounds_cap_the_oracle_value_at_every_solver_point():
 def _spy_corner_test(monkeypatch):
     """Record (m, corners, a_ub, b_ub, answered) for every pattern whose
     classes reach the oracle's corner test."""
-    from certitrain import verify as V
-
     seen = []
     real = V._corner_is_optimal
 
@@ -276,8 +276,6 @@ def _one_relu_net():
 def _spy_lp_points(monkeypatch):
     """Count LP calls, and keep the point HiGHS returned for the first LP
     with each (A_ub, b_ub, c)."""
-    from certitrain import verify as V
-
     points, calls = {}, []
     real = V.linprog
 
@@ -333,8 +331,6 @@ def test_corner_answers_are_the_solver_points(monkeypatch):
     """On a fixed instance, every class the corner test answers is one plain
     enumeration solved, and its corner is the point HiGHS returned there;
     the oracle solves fewer LPs than with the test switched off."""
-    from certitrain import verify as V
-
     rng = np.random.default_rng(46)
     net = random_mlp(rng, [3, 6, 5, 3], scale=1.8)
     x, y, eps = rng.uniform(0.1, 0.9, size=3), 1, 0.06
@@ -387,7 +383,7 @@ def test_reached_margin_floor_matches_plain_enumeration_bitwise(monkeypatch, cas
 
 def sample_margins(net, x, y, eps, n, seed):
     box = box_from_ball(x, eps)
-    pts = box.sample(n, np.random.default_rng(seed))
+    pts = sample_box(box, n, np.random.default_rng(seed))
     elided = elide_final_layer(net, y)
     outs = forward_batch(elided, pts)
     outs[:, y] = -np.inf
@@ -486,8 +482,6 @@ def test_relaxed_certificate_agrees_with_oracle_and_attack():
 
 
 def test_relaxed_solver_failure_never_certifies(monkeypatch):
-    from certitrain import verify as V
-
     class Failed:
         status, message = 4, "numerical difficulties"
 
@@ -507,8 +501,6 @@ def test_relaxed_solver_failure_never_certifies(monkeypatch):
 
 def test_relaxed_dual_bound_holds_for_any_multipliers():
     """Weak duality: perturbed nonnegative multipliers still bound the LP optimum."""
-    from certitrain import verify as V
-
     rng = np.random.default_rng(12)
     net, x, y, eps, _, _ = _oracle_resolved_instances(12, 1)[0]
     bb = V._BranchAndBound(net, y, box_from_ball(x, eps))
@@ -536,12 +528,6 @@ def test_relaxed_dual_bound_holds_for_any_multipliers():
 def test_relaxed_bounds_hold_in_exact_arithmetic():
     """The interval and dual bounds cover their exact rational values even
     when float64 evaluation cancels large terms."""
-    from fractions import Fraction
-
-    from scipy import sparse
-
-    from certitrain import verify as V
-
     rng = np.random.default_rng(14)
 
     def exact_max(coef, lo, hi):
@@ -577,10 +563,6 @@ def test_back_substitution_bounds_hold_in_exact_arithmetic():
     """The back-substitution bound and the interval bound on each elided
     output row cover their exact rational values on nets whose large, mixed
     weights cancel in float64."""
-    from fractions import Fraction
-
-    from certitrain import verify as V
-
     rng = np.random.default_rng(15)
 
     def exact_back_substitution(relus, g, g0, x_lo, x_hi):
@@ -674,10 +656,6 @@ def test_method_bound_signs_against_oracle():
 
 def test_concrete_bound_paths_build_no_tape(monkeypatch):
     """Paths that only read bound values take no gradient, so they build no tape."""
-    from certitrain import tensor as T
-    from certitrain.interval import ibp_bounds
-    from certitrain.train import _certified_mask, taps_accuracy
-
     built = []
     init = T.Tape.__init__
 
@@ -755,8 +733,6 @@ def test_variance_check_n1_identical_estimators():
 def test_variance_check_constant_bound_branch():
     """If g is constant over the pool both estimators coincide trial-by-trial."""
     net, X, y = variance_setup(seed=1)
-    from certitrain import verify as V
-
     f_vals, g_vals, df, dg = V.per_sample_loss_grads(net, X, y, 0.05, attack=AttackConfig(steps=3),
                                                      rng=np.random.default_rng(0))
     g_const = np.full_like(g_vals, 2.5)
@@ -773,12 +749,6 @@ def test_variance_check_constant_bound_branch():
 def test_variance_check_generic_trend():
     """On a trained net the estimator means agree within the per-trial noise
     floor and batch-mean multipliers reduce per-coordinate variance."""
-    import tempfile
-
-    from certitrain.data import synthetic_moons
-    from certitrain.loss import LossKind
-    from certitrain.train import Schedule, TrainConfig, train_run
-
     train = synthetic_moons(2000, noise=0.06, seed=31)
     pool = synthetic_moons(600, noise=0.06, seed=32)
     cfg = TrainConfig(
@@ -804,8 +774,6 @@ def test_variance_check_pool_precondition():
 
 
 def test_verdict_json_round_trip():
-    import json
-
     v = SampleVerdict(sample_id=3, natural_correct=True, ibp_certified=False,
                       pgd_margin=-0.25, exact_margin=None,
                       method_bounds={"ibp": np.array([0.0, 0.5])})
