@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
 import numbers
 import os
+import platform
 import sys
 import typing
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .attack import AttackConfig
 from .checkpoint import CheckpointError, load_checkpoint
@@ -297,9 +300,44 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def blas_threads():
+    """Thread count the loaded OpenBLAS reports, or None if it cannot be asked."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def environment():
+    """What a run's numbers depend on besides its configuration: the Python,
+    numpy and scipy versions, the BLAS library and its thread count (None
+    where it cannot be asked)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas, "blas_threads": blas_threads()}
+
+
 def write_manifest(out_dir, config: Config, artifacts):
     manifest = {
         "config": dataclasses.asdict(config),
+        "environment": environment(),
         "checkpoints": {k: {"path": v, "sha256": _sha256(v)}
                         for k, v in artifacts.items() if k in ("final", "best")},
     }

@@ -9,7 +9,10 @@ the radius), which is exact per coordinate, and ReLU maps bounds
 elementwise.  This module chains those transfers over a network.  The final
 affine layer can be elided per sample label so the propagated quantities are
 upper/lower bounds on logit differences.  Both passes do the same
-arithmetic, so their bounds agree bit for bit.
+arithmetic, so their bounds agree bit for bit.  Training differentiates the
+concrete pass: :func:`propagate_box` can keep every layer's box and forward
+products, from which each layer's ``box_vjp`` runs the reverse pass without
+a tape (see :func:`train._bound_loss_grads`).
 """
 
 from __future__ import annotations
@@ -64,13 +67,17 @@ def box_from_ball(x, eps) -> BoxBounds:
     return BoxBounds(np.maximum(x - eps, DOMAIN[0]), np.minimum(x + eps, DOMAIN[1]))
 
 
-def propagate_box(net: Network, box: BoxBounds, stop=None, collect=None) -> BoxBounds:
+def propagate_box(net: Network, box: BoxBounds, stop=None, collect=None, kept=None) -> BoxBounds:
     """Concrete :func:`propagate_box_on_tape` through layers[:stop];
-    ``collect`` receives (layer_index, BoxBounds)."""
+    ``collect`` receives (layer_index, BoxBounds), and ``kept`` each layer's
+    dict of forward products for its ``box_vjp``."""
     for i, layer in enumerate(net.layers[:stop]):
-        box = BoxBounds(*layer.box(box.lo, box.hi))
+        products = None if kept is None else {}
+        box = BoxBounds(*layer.box(box.lo, box.hi, products))
         if collect is not None:
             collect.append((i, box))
+        if kept is not None:
+            kept.append(products)
     return box
 
 
@@ -82,7 +89,7 @@ def elided_bounds(net: Network, box: BoxBounds, labels) -> BoxBounds:
     raw = box.center @ last.weight.T.copy() + last.bias
     labels = T._check_labels("elided_bounds", raw, labels)
     c_out = raw - raw[np.arange(len(labels)), labels][:, None]
-    absdiff = np.abs(last.weight[None, :, :] - last.weight[labels][:, None, :])
+    absdiff = T.elided_weight_diffs(last.weight, labels)[1]
     r_out = np.einsum("bn,bkn->bk", box.radius, absdiff, optimize=True)
     return BoxBounds(c_out - r_out, c_out + r_out)
 

@@ -7,7 +7,10 @@ TAPS losses over that region.  The graph builders return per-sample loss
 nodes (shape (B,)).  The TAPS builders share the extractor's interval
 propagation between the sound (full interval) and attacked (latent PGD +
 connector) branches so gradients for the extractor accumulate from both,
-which is exactly how the product objective trains.
+which is exactly how the product objective trains.  The bound loss and the
+annealing regularizer also have numpy reverse passes (:func:`elided_ce_vjp`,
+:func:`fast_regularizer_vjp`) that training runs in place of their graphs,
+with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -268,6 +271,96 @@ def fast_regularizer_node(tape, net, params, input_box: BoxBounds, lam, collecte
         return T.scale(acc, 1.0 / len(nodes))
 
     return T.scale(T.add(_mean(tight_terms), _mean(balance_terms)), lam)
+
+
+# ---------------------------------------------------------------------------
+# Numpy reverse passes of the bound loss and the regularizer
+# ---------------------------------------------------------------------------
+
+def elided_ce_vjp(last, box: BoxBounds, y):
+    """Batch mean of :func:`ibp_loss_terms` from ``box``, the bounds that
+    enter the final affine layer ``last``, with its reverse pass: (mean,
+    adjoint of ``box.lo``, adjoint of ``box.hi``, [weight grad, bias grad]).
+
+    The numpy twin of the elided layer of :func:`elided_bounds_on_tape`,
+    :func:`bound_ce_terms` and the mean: each value and adjoint repeats its
+    node's arithmetic, in the tape's order.  The lower elided bound feeds
+    nothing, so it is not formed.
+    """
+    center = (box.lo + box.hi) * 0.5
+    radius = (box.hi - box.lo) * 0.5
+    wt = last.weight.T.copy()
+    raw = center @ wt + last.bias
+    y = T._check_labels("elided_ce_vjp", raw, y)
+    diff, absdiff = T.elided_weight_diffs(last.weight, y)
+    c_out = raw - raw[np.arange(len(y)), y][:, None]
+    hi = c_out + np.einsum("bn,bkn->bk", radius, absdiff, optimize=True)
+    keep = T.drop_col_keep(hi, y)
+    dropped = hi[np.arange(len(y))[:, None], keep]
+    terms = T.log1p_sum_exp(dropped)
+
+    g_terms = np.full(terms.shape, 1.0 / terms.size)
+    g_hi = T.drop_col_vjp(T.log1p_sum_exp_vjp(g_terms, dropped, terms), keep, hi.shape)
+    g_radius, g_weight = T.elided_abs_linear_vjp(g_hi, radius, diff, absdiff, y)
+    g_raw = T.sub_col_pick_vjp(g_hi, y)
+    grads = [g_weight + (center.T @ g_raw).T, g_raw.sum(axis=0)]
+    g_a, g_s = (g_raw @ wt.T) * 0.5, g_radius * 0.5
+    return float(terms.mean()), g_a - g_s, g_s + g_a, grads
+
+
+def fast_regularizer_vjp(net, input_box: BoxBounds, lam, collected, g):
+    """:func:`fast_regularizer_node` in numpy: its value, and for the output
+    adjoint ``g`` the adjoints it sends to the boxes of ``collected`` (a
+    numpy :func:`interval.propagate_box` of ``input_box``), as
+    {layer index: (lo adjoint, hi adjoint)}.
+
+    Every term repeats its node's arithmetic, and each box sums the
+    adjoints of the terms that read it in reverse creation order, as the
+    tape does: a ReLU's balance term before its input's tightness term.
+    """
+    input_radius_sum = float(input_box.radius.sum())
+    tight, balance = [], []  # (box index, value, what its adjoint reads)
+    prev = None
+    for idx, box in collected:
+        layer = net.layers[idx]
+        if layer.param_names and input_radius_sum > 0:
+            radius = (box.hi - box.lo) * 0.5
+            excess = radius.sum() * (1.0 / input_radius_sum) - 1.0
+            tight.append((idx, np.maximum(excess, 0.0), (excess > 0.0, radius.shape)))
+        if isinstance(layer, ReLU) and prev is not None:
+            center = (prev[1].hi + prev[1].lo) * 0.5
+            gap = (prev[1].hi - prev[1].lo) * 0.5 - np.abs(center)
+            lean = np.clip(center, -1.0, 1.0).mean()
+            balance.append((prev[0], np.maximum(gap, 0.0).mean() + lean * lean, (center, gap, lean)))
+        prev = (idx, box)
+
+    def _mean(terms):  # summed left to right, as fast_regularizer_node's chain of adds
+        values = [value for _, value, _ in terms]
+        return sum(values[1:], values[0]) * (1.0 / len(values)) if values else 0.0
+
+    value = (_mean(tight) + _mean(balance)) * lam
+    g_t, g_b = g * lam * (1.0 / max(1, len(tight))), g * lam * (1.0 / max(1, len(balance)))
+    adjoints = {}
+
+    def send(idx, *terms):
+        acc = adjoints.get(idx)
+        for lo_term, hi_term in terms:
+            acc = (lo_term, hi_term) if acc is None else (acc[0] + lo_term, acc[1] + hi_term)
+        adjoints[idx] = acc
+
+    # reverse creation order: a ReLU's balance term was built after the
+    # tightness term of its input box
+    for idx, _, (center, gap, lean) in balance:
+        inv = 1.0 / center.size
+        g_center = (g_b * lean + g_b * lean) * inv * ((center >= -1.0) & (center <= 1.0))
+        g_gap = g_b * inv * (gap > 0.0)
+        g_center = (g_center + (-g_gap) * np.sign(center)) * 0.5
+        g_radius = g_gap * 0.5
+        send(idx, (-g_radius, g_radius), (g_center, g_center))
+    for idx, _, (mask, shape) in tight:
+        g_radius = np.full(shape, g_t * mask * (1.0 / input_radius_sum) * 0.5)
+        send(idx, (-g_radius, g_radius))
+    return float(value), adjoints
 
 
 def l1_penalty(arrays, lam):

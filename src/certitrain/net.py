@@ -5,13 +5,17 @@ Each layer kind is one class, the only place that says how the kind
 behaves: its parameters (``param_names``, ``params``, ``lift`` onto a tape,
 ``with_params``), ``out_shape``, the batched numpy ``forward`` and
 ``input_vjp``, the taped ``forward_on_tape``, the interval transfers ``box``
-(numpy) and ``box_on_tape``, ``affine_operator`` on flattened features (None
+(numpy) and ``box_on_tape``, the numpy reverse pass of the box transfer
+``box_vjp`` (input adjoints and parameter gradients, from the forward
+products ``box`` keeps), ``affine_operator`` on flattened features (None
 without parameters) and its checkpoint ``descriptor``; :data:`LAYER_KINDS`
 maps a descriptor's kind back to the class.  The affine numpy and taped
 forwards keep separate kernels (``x @ W.T`` and the tape's matmul against a
-transposed copy can differ in the last bits), and both box transfers use the
-taped kernel; the conv layer runs one kernel, :func:`tensor.conv_forward`,
-on both paths.
+transposed copy can differ in the last bits), and the box transfer and its
+reverse pass use the taped kernel, on the same transposed copies; the conv
+layer runs one kernel, :func:`tensor.conv_forward`, on both paths, and its
+reverse pass reuses the forward's patch matrices.  So ``box`` and
+``box_vjp`` equal the taped transfer and its backward bit for bit.
 
 A :class:`Network` is an ordered list of layers plus a ``split_index``
 separating the feature extractor ``layers[:split_index]`` from the classifier
@@ -65,8 +69,21 @@ class Layer:
     def out_shape(self, in_shape):
         return in_shape
 
-    def box(self, lo, hi):
+    def box(self, lo, hi, kept=None):
+        """Interval transfer of the batched box (lo, hi); ``kept``, a dict if
+        given, receives the forward products :meth:`box_vjp` reuses."""
         return self.forward(lo), self.forward(hi)
+
+    def box_vjp(self, lo, hi, g_lo, g_hi, kept, inputs=True):
+        """Reverse of :meth:`box` at the box (lo, hi), from the adjoints of its
+        output bounds and the ``kept`` dict its forward filled: the adjoints of
+        the input bounds (None unless ``inputs``) and the parameter gradients,
+        in ``param_names`` order.  Each adjoint repeats the backward rules of
+        :meth:`box_on_tape`'s nodes on the same operands, summed in the
+        tape's order, so the two agree bit for bit."""
+        if not inputs:
+            return None, None, []
+        return self.input_vjp(g_lo, lo), self.input_vjp(g_hi, hi), []
 
     def box_on_tape(self, lo, hi, p):
         return self.forward_on_tape(lo, p), self.forward_on_tape(hi, p)
@@ -108,14 +125,28 @@ class Affine(Layer):
     def forward_on_tape(self, x, p):
         return T.add_bias(T.matmul(x, T.transpose(p["weight"])), p["bias"])
 
-    def box(self, lo, hi):
+    def box(self, lo, hi, kept=None):
         # transposed copies, as T.transpose makes: a product against the
         # ``.T`` view can differ from the taped bound in the last bits
         center = (lo + hi) * 0.5
         radius = (hi - lo) * 0.5
-        c_out = center @ self.weight.T.copy() + self.bias
-        r_out = radius @ np.abs(self.weight).T.copy()
+        wt, abs_wt = self.weight.T.copy(), np.abs(self.weight).T.copy()
+        c_out = center @ wt + self.bias
+        r_out = radius @ abs_wt
+        if kept is not None:
+            kept.update(center=center, radius=radius, wt=wt, abs_wt=abs_wt)
         return c_out - r_out, c_out + r_out
+
+    def box_vjp(self, lo, hi, g_lo, g_hi, kept, inputs=True):
+        g_c, g_r = g_hi + g_lo, g_hi - g_lo
+        grads = [(kept["radius"].T @ g_r).T * np.sign(self.weight) + (kept["center"].T @ g_c).T,
+                 g_c.sum(axis=0)]
+        if not inputs:
+            return None, None, grads
+        # center = (lo + hi) * 0.5 and radius = (hi - lo) * 0.5; the tape
+        # adds the radius's adjoint first
+        g_a, g_s = (g_c @ kept["wt"].T) * 0.5, (g_r @ kept["abs_wt"].T) * 0.5
+        return g_a - g_s, g_s + g_a, grads
 
     def box_on_tape(self, lo, hi, p):
         center = T.scale(T.add(lo, hi), 0.5)
@@ -165,13 +196,27 @@ class Conv2d(Layer):
     def forward_on_tape(self, x, p):
         return T.conv2d(x, p["weight"], p["bias"], self.stride, self.padding)
 
-    def box(self, lo, hi):
+    def box(self, lo, hi, kept=None):
         center = (lo + hi) * 0.5
         radius = (hi - lo) * 0.5
-        c_out = self.forward(center)
-        r_out = replace(self, weight=np.abs(self.weight),
-                        bias=np.zeros_like(self.bias)).forward(radius)
+        abs_w = np.abs(self.weight)
+        c_out, cols_c = T.conv_forward(center, self.weight, self.bias, self.stride, self.padding)
+        r_out, cols_r = T.conv_forward(radius, abs_w, np.zeros_like(self.bias), self.stride,
+                                       self.padding)
+        if kept is not None:
+            kept.update(cols_c=cols_c, cols_r=cols_r, abs_w=abs_w)
         return c_out - r_out, c_out + r_out
+
+    def box_vjp(self, lo, hi, g_lo, g_hi, kept, inputs=True):
+        g_c, g_r = g_hi + g_lo, g_hi - g_lo
+        geometry = (lo.shape, self.stride, self.padding, inputs)
+        dx_r, dw_r, _ = T.conv_vjp(g_r, kept["abs_w"], kept["cols_r"], *geometry)
+        dx_c, dw_c, db = T.conv_vjp(g_c, self.weight, kept["cols_c"], *geometry)
+        grads = [dw_r * np.sign(self.weight) + dw_c, db]
+        if not inputs:
+            return None, None, grads
+        g_a, g_s = dx_c * 0.5, dx_r * 0.5
+        return g_a - g_s, g_s + g_a, grads
 
     def box_on_tape(self, lo, hi, p):
         center = T.scale(T.add(lo, hi), 0.5)

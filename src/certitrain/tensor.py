@@ -239,13 +239,21 @@ def log1p_sum_exp_rows(a: Node) -> Node:
     logit-difference cross-entropy.
     """
     av = a.value
+    out = log1p_sum_exp(av)
+    return a.tape.node("log1p_sum_exp_rows", (a,), out,
+                       lambda g: (log1p_sum_exp_vjp(g, av, out),))
+
+
+def log1p_sum_exp(av):
+    """Numpy kernel of :func:`log1p_sum_exp_rows`: (B, M) -> (B,)."""
     m = np.maximum(av.max(axis=1), 0.0)
-    out = np.log(np.exp(-m) + np.exp(av - m[:, None]).sum(axis=1)) + m
+    return np.log(np.exp(-m) + np.exp(av - m[:, None]).sum(axis=1)) + m
 
-    def bwd(g):
-        return (np.exp(av - out[:, None]) * g[:, None],)
 
-    return a.tape.node("log1p_sum_exp_rows", (a,), out, bwd)
+def log1p_sum_exp_vjp(g, av, out):
+    """Adjoint of :func:`log1p_sum_exp` at ``av`` (value ``out``) for the (B,)
+    output gradient ``g``."""
+    return np.exp(av - out[:, None]) * g[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -281,30 +289,37 @@ def sub_col_pick(a: Node, idx) -> Node:
     idx = _check_labels("sub_col_pick", av, idx)
     rows = np.arange(av.shape[0])
     out = av - av[rows, idx][:, None]
+    return a.tape.node("sub_col_pick", (a,), out, lambda g: (sub_col_pick_vjp(g, idx),))
 
-    def bwd(g):
-        da = g.copy()
-        da[rows, idx] -= g.sum(axis=1)
-        return (da,)
 
-    return a.tape.node("sub_col_pick", (a,), out, bwd)
+def sub_col_pick_vjp(g, idx):
+    """Adjoint of ``a - a[rows, idx][:, None]`` for the output gradient ``g``."""
+    da = g.copy()
+    da[np.arange(g.shape[0]), idx] -= g.sum(axis=1)
+    return da
 
 
 def drop_col(a: Node, idx) -> Node:
     """Remove one per-row column: (B, K) -> (B, K-1), remaining order kept."""
     av = a.value
+    keep = drop_col_keep(av, idx)
+    return a.tape.node("drop_col", (a,), av[np.arange(av.shape[0])[:, None], keep],
+                       lambda g: (drop_col_vjp(g, keep, av.shape),))
+
+
+def drop_col_keep(av, idx):
+    """The (B, K-1) column index that :func:`drop_col` gathers from ``av``."""
     idx = _check_labels("drop_col", av, idx)
-    b, k = av.shape
+    k = av.shape[1]
     keep = np.argsort(np.arange(k)[None, :] == idx[:, None], axis=1, kind="stable")
-    keep = keep[:, : k - 1]  # stable argsort puts the dropped column last
-    rows = np.arange(b)[:, None]
+    return keep[:, : k - 1]  # stable argsort puts the dropped column last
 
-    def bwd(g):
-        da = np.zeros_like(av)
-        da[rows, keep] = g
-        return (da,)
 
-    return a.tape.node("drop_col", (a,), av[rows, keep], bwd)
+def drop_col_vjp(g, keep, shape):
+    """Adjoint of the gather ``av[rows, keep]`` for the output gradient ``g``."""
+    da = np.zeros(shape, dtype=np.float64)
+    da[np.arange(shape[0])[:, None], keep] = g
+    return da
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +514,17 @@ def conv_input_vjp(g, w, x_shape, stride, padding):
     return col2im(w.reshape(oc, -1).T @ gm, x_shape, kh, kw, stride, padding)
 
 
+def conv_vjp(g, w, cols, x_shape, stride, padding, input_grad=True):
+    """Backward of :func:`conv_forward` from its (B, O, OH, OW) output
+    gradient and the patch matrix ``cols`` the forward made: (input gradient,
+    or None without ``input_grad``; weight gradient ``cols @ gt``; bias
+    gradient)."""
+    gt = g.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])
+    dw = (cols @ gt).T.reshape(w.shape)
+    dx = conv_input_vjp(g, w, x_shape, stride, padding) if input_grad else None
+    return dx, dw, g.sum(axis=(0, 2, 3))
+
+
 def conv2d(x: Node, w: Node, b: Node, stride: int, padding: int) -> Node:
     """Batched 2-D convolution: (B,C,H,W) * (O,C,kh,kw) + (O,) -> (B,O,OH,OW).
 
@@ -529,15 +555,8 @@ def conv2d(x: Node, w: Node, b: Node, stride: int, padding: int) -> Node:
     if bv.shape != (oc,):
         raise ShapeError(f"conv2d: bias {bv.shape} for {oc} output channels")
     out, cols = conv_forward(xv, wv, bv, stride, padding)
-
-    def bwd(g):
-        gt = g.transpose(0, 2, 3, 1).reshape(-1, oc)
-        dw = (cols @ gt).T.reshape(wv.shape)
-        dx = conv_input_vjp(g, wv, xv.shape, stride, padding)
-        db = g.sum(axis=(0, 2, 3))
-        return (dx, dw, db)
-
-    return x.tape.node("conv2d", (x, w, b), out, bwd)
+    return x.tape.node("conv2d", (x, w, b), out,
+                       lambda g: conv_vjp(g, wv, cols, xv.shape, stride, padding))
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +577,30 @@ def elided_abs_linear(delta: Node, w: Node, idx) -> Node:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.shape != (dv.shape[0],):
         raise ShapeError(f"elided_abs_linear: labels {idx.shape} for batch {dv.shape[0]}")
-    diff = wv[None, :, :] - wv[idx][:, None, :]         # (B, K, n)
-    absdiff = np.abs(diff)
+    diff, absdiff = elided_weight_diffs(wv, idx)
     if delta.tape.kink_tol is not None:
         delta.tape._note_kinks(absdiff)
     out = np.einsum("bn,bkn->bk", dv, absdiff, optimize=True)
+    return delta.tape.node("elided_abs_linear", (delta, w), out,
+                           lambda g: elided_abs_linear_vjp(g, dv, diff, absdiff, idx))
 
-    def bwd(g):
-        dd = np.einsum("bk,bkn->bn", g, absdiff, optimize=True)
-        signed = np.sign(diff) * dv[:, None, :]         # d out[b,k] / d diff[b,k,n]
-        per_bkn = g[:, :, None] * signed
-        dw = per_bkn.sum(axis=0)
-        np.subtract.at(dw, idx, per_bkn.sum(axis=1))
-        return (dd, dw)
 
-    return delta.tape.node("elided_abs_linear", (delta, w), out, bwd)
+def elided_weight_diffs(wv, idx):
+    """The (B, K, n) row differences ``w[k] - w[idx[b]]`` and their absolute
+    values, which :func:`elided_abs_linear` contracts with the radius."""
+    diff = wv[None, :, :] - wv[idx][:, None, :]
+    return diff, np.abs(diff)
+
+
+def elided_abs_linear_vjp(g, dv, diff, absdiff, idx):
+    """Backward of :func:`elided_abs_linear` at radius ``dv`` for the (B, K)
+    output gradient ``g``: (radius gradient, weight gradient)."""
+    dd = np.einsum("bk,bkn->bn", g, absdiff, optimize=True)
+    signed = np.sign(diff) * dv[:, None, :]         # d out[b,k] / d diff[b,k,n]
+    per_bkn = g[:, :, None] * signed
+    dw = per_bkn.sum(axis=0)
+    np.subtract.at(dw, idx, per_bkn.sum(axis=1))
+    return dd, dw
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ reaches its target, switch to the configured objective (plain bound loss for
 ibp/sabr, the gradient-scaled product for taps/staps).  Validation tracks
 natural accuracy and the attacked-latent accuracy, which drives best-model
 selection once annealing has finished.
+
+A bound-loss step builds no tape: its gradient comes from a numpy interval
+pass and a numpy reverse pass (:func:`_bound_loss_grads`) that repeat the
+taped graph's arithmetic, so it is bit for bit the taped gradient.  The
+product, natural and PGD steps still differentiate on the tape.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from .attack import AttackConfig, ce_rows, pgd_input, pgd_latent, sabr_select_re
 from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
 from .interval import box_from_ball, elided_bounds, propagate_box
-from .loss import (LossKind, NumericError, ce_terms, combined_gradient, fast_regularizer_node,
-                   ibp_loss_terms, l1_penalty, margin_loss)
+from .loss import (LossKind, NumericError, ce_terms, combined_gradient, elided_ce_vjp,
+                   fast_regularizer_vjp, l1_penalty, margin_loss)
 from .net import (INIT_MODES, Network, build_architecture, forward_batch, forward_on_tape,
                   init_params, lift_params, param_grads, relu_layer_count)
 
@@ -209,17 +214,36 @@ class RunState:
 # ---------------------------------------------------------------------------
 
 def _bound_loss_grads(net, box, y, *, reg_lambda=0.0, eps_frac=0.0):
-    """Gradient of mean bound loss over ``box`` (+ scaled regularizer during annealing)."""
-    tape = T.Tape()
-    params = lift_params(tape, net)
-    collected = []
-    terms = ibp_loss_terms(tape, net, params, box, y, collect=collected)
-    root = T.mean_all(terms)
-    bound_value = float(root.value)
+    """Gradient of mean bound loss over ``box`` (+ scaled regularizer during
+    annealing): (grads, bound loss, objective), without a tape.
+
+    One numpy interval pass (:func:`propagate_box`) keeps each layer's box
+    and forward products; the reverse pass runs the elided loss's adjoints
+    (:func:`elided_ce_vjp`), then each layer's ``box_vjp`` from the last to
+    the first.  A box the regularizer reads adds its adjoints
+    (:func:`fast_regularizer_vjp`) before the next layer's, the tape's
+    order, so the result equals the taped ``ibp_loss_terms`` +
+    ``fast_regularizer_node`` gradient bit for bit wherever such a box feeds
+    a ReLU, as in every built architecture (the tape adds a linear next
+    layer's two terms one at a time).  The input box is a constant: its
+    adjoint is not formed.
+    """
+    last = len(net.layers) - 1
+    collected, kept = [], []
+    out = propagate_box(net, box, stop=last, collect=collected, kept=kept)
+    bound_value, g_lo, g_hi, grads = elided_ce_vjp(net.layers[last], out, y)
+    objective, reg = bound_value, {}
     if reg_lambda > 0.0 and eps_frac > 0.0:
-        reg = fast_regularizer_node(tape, net, params, box, reg_lambda, collected=collected)
-        root = T.add(root, T.scale(reg, eps_frac))
-    return param_grads(tape, params, root), bound_value, float(root.value)
+        reg_value, reg = fast_regularizer_vjp(net, box, reg_lambda, collected, eps_frac)
+        objective = bound_value + reg_value * eps_frac
+    for i in range(last - 1, -1, -1):
+        if i in reg:
+            g_lo, g_hi = reg[i][0] + g_lo, reg[i][1] + g_hi
+        below = collected[i - 1][1] if i else box
+        g_lo, g_hi, layer_grads = net.layers[i].box_vjp(below.lo, below.hi, g_lo, g_hi,
+                                                        kept.pop(), inputs=i > 0)
+        grads = layer_grads + grads
+    return [np.ascontiguousarray(g) for g in grads], bound_value, objective
 
 
 def _natural_grads(net, X, y):

@@ -4,7 +4,8 @@ plus the test references the package does not ship: the central
 finite-difference gradient check (``finite_diff_check``, ``FiniteDiffReport``)
 and the parameters it perturbs (``lift_with_node``), the IDX writers
 (``write_idx_images``, ``write_idx_labels``), uniform points in a box
-(``sample_box``) and one loss value read off a fresh tape (``loss_value``)."""
+(``sample_box``), one loss value read off a fresh tape (``loss_value``) and
+the taped bound-loss gradient of a training step (``taped_bound_loss_grads``)."""
 
 import gzip
 import struct
@@ -17,7 +18,8 @@ from certitrain.data import IMAGE_MAGIC, LABEL_MAGIC
 from certitrain.interval import BoxBounds, box_from_ball, input_box_nodes, propagate_box, propagate_box_on_tape
 from certitrain.loss import ce_terms, fast_regularizer_node, ibp_loss_terms, paired_loss_terms
 from certitrain.net import (Affine, Conv2d, Flatten, Network, ReLU, elide_final_layer,
-                            forward_backward_input, lift_params, split_for_classifier_relus)
+                            forward_backward_input, lift_params, param_grads,
+                            split_for_classifier_relus)
 
 
 def random_mlp(rng, dims, num_classes=None, scale=1.0, split_relus=0):
@@ -269,6 +271,21 @@ def loss_value(kind, *args, **taps_kw):
         return float(ibp_loss_terms(tape, net, params, box, np.asarray([arg])).value[0])
     _, attacked = paired_loss_terms(tape, net, params, box, np.asarray([arg]), **taps_kw)
     return float(attacked.value[0])
+
+
+def taped_bound_loss_grads(net, box, y, *, reg_lambda=0.0, eps_frac=0.0):
+    """The taped reference of ``train._bound_loss_grads``: the mean of
+    ``ibp_loss_terms`` plus ``eps_frac`` times ``fast_regularizer_node``,
+    differentiated by ``param_grads``; (grads, bound loss, objective)."""
+    tape = T.Tape()
+    params = lift_params(tape, net)
+    collected = []
+    root = T.mean_all(ibp_loss_terms(tape, net, params, box, y, collect=collected))
+    bound_value = float(root.value)
+    if reg_lambda > 0.0 and eps_frac > 0.0:
+        reg = fast_regularizer_node(tape, net, params, box, reg_lambda, collected=collected)
+        root = T.add(root, T.scale(reg, eps_frac))
+    return param_grads(tape, params, root), bound_value, float(root.value)
 
 
 def lift_with_node(node, net, layer_idx, name):

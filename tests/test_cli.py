@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import os
+import platform
 import struct
 
 import numpy as np
 import pytest
+import scipy
 
 from certitrain.checkpoint import MAGIC, VERSION, save_checkpoint
 from certitrain.cli import (
@@ -322,6 +324,14 @@ def test_train_writes_artifacts(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["loss"] == "taps"
     assert len(manifest["checkpoints"]["final"]["sha256"]) == 64
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    assert env["blas"] is None or isinstance(env["blas"], str)
+    threads = env["blas_threads"]
+    assert threads is None or threads >= 1
+    if threads is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        assert threads == 1
 
 
 def test_manifest_hash_tracks_params(tmp_path):

@@ -93,6 +93,24 @@ def test_layer_transfers_agree(arch, i, tmp_path):
         concrete = layer.box(lo[rows], hi[rows])
         assert all(np.array_equal(c, t.value) for c, t in zip(concrete, taped))
 
+    # the box's reverse pass equals the taped box's backward bit for bit:
+    # the input adjoints, and the parameter gradients in ``param_names`` order
+    g_lo, g_hi = rng.normal(size=out.shape), rng.normal(size=out.shape)
+    tape = T.Tape()
+    lo_n, hi_n, p = tape.leaf(lo), tape.leaf(hi), layer.lift(tape)
+    out_lo, out_hi = layer.box_on_tape(lo_n, hi_n, p)
+    root = T.add(T.sum_all(T.mul(out_lo, tape.constant(g_lo))),
+                 T.sum_all(T.mul(out_hi, tape.constant(g_hi))))
+    wanted = [lo_n.id, hi_n.id] + [p[name].id for name in layer.param_names]
+    taped = T.backward(tape, root, wanted=wanted)
+    kept = {}
+    layer.box(lo, hi, kept)
+    d_lo, d_hi, param_grads = layer.box_vjp(lo, hi, g_lo, g_hi, kept)
+    assert [a.tobytes() for a in (d_lo, d_hi, *param_grads)] == [taped[k].tobytes() for k in wanted]
+    skip_lo, skip_hi, skip_grads = layer.box_vjp(lo, hi, g_lo, g_hi, kept, inputs=False)
+    assert skip_lo is None and skip_hi is None
+    assert [a.tobytes() for a in skip_grads] == [a.tobytes() for a in param_grads]
+
     # descriptor -> save -> load -> save gives the same layer and the same bytes
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(first, net)

@@ -1,6 +1,8 @@
 """Tape engine: primitive values, convolution geometry, the chain rule, the
 backward sweep's memory discipline, and the finite-difference oracle."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,7 +254,7 @@ PRIMITIVE_CASES = [
 
 @pytest.mark.parametrize("name,builder", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
 def test_primitive_gradients_match_finite_differences(name, builder):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # stable across processes
     theta = rng.normal(size=6) * 0.8
 
     def f(node):
@@ -387,7 +389,7 @@ def test_elided_abs_linear_value_and_grad():
     assert report.max_rel_err < 1e-5, report
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)  # the same examples every run
 @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4), st.integers(0, 2**31 - 1))
 def test_chain_rule_property(values, seed):
     """Random composite graphs agree with finite differences at non-kink points."""
