@@ -8,9 +8,9 @@ from .connector import ConnectorParams, connector_node, connector_partials
 from .data import Dataset, load_mnist_idx, synthetic_digits, synthetic_moons
 from .interval import BoxBounds, box_from_ball, ibp_bounds, propagate_box
 from .loss import LossKind, combined_gradient, margin_loss
-from .net import Network, build_architecture, elide_final_layer, forward_concrete, init_params
+from .net import Network, build_architecture, elide_final_layer, init_params
 from .tensor import Tape, backward
 from .train import Schedule, TrainConfig, epsilon_schedule, taps_accuracy, train_run
-from .verify import adversarial_accuracy, certify_ibp, exact_margin_oracle, method_bound, variance_theorem_check
+from .verify import certify_ibp, exact_margin_oracle, method_bound, variance_theorem_check
 
 __version__ = "0.1.0"

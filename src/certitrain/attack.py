@@ -31,8 +31,6 @@ __all__ = [
 class AttackConfig:
     steps: int = 8
     restarts: int = 1
-    objective: object = "cross_entropy"  # or ("logit_diff", target_index)
-    check_projection: bool = False
 
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
@@ -75,15 +73,6 @@ def _logit_diff_objective(targets, labels):
     return seed
 
 
-def _objective_targets(cfg: AttackConfig, labels):
-    """Per-row targets of a ``("logit_diff", t)`` objective; None for cross-entropy."""
-    if cfg.objective == "cross_entropy":
-        return None
-    if isinstance(cfg.objective, tuple) and cfg.objective[0] == "logit_diff":
-        return np.broadcast_to(np.asarray(cfg.objective[1], dtype=np.intp), labels.shape)
-    raise ValueError(f"unknown attack objective {cfg.objective!r}")
-
-
 def _starts(rng, shape):
     """Uniform [0, 1) draws of ``shape`` = (R, B, ...): from one generator, the
     stream of R draws of (B, ...) made one after another; from a sequence of B
@@ -105,16 +94,6 @@ def _signed_step(x, g, buf, eta, lo, hi):
     x += buf
     np.maximum(x, lo, out=x)
     np.minimum(x, hi, out=x)
-
-
-def _check_projection(x, lo, hi):
-    """Raise if an (R, ...) iterate left its box; a NaN coordinate counts as
-    an infinite escape."""
-    over = np.nan_to_num(np.maximum(lo - x, x - hi), nan=np.inf)
-    if over.max() > 0.0:
-        at = np.unravel_index(np.argmax(over), over.shape)
-        raise RuntimeError(f"PGD iterate escaped its box by {over[at]:.3g} "
-                           f"(restart {at[0]}, index {tuple(map(int, at[1:]))})")
 
 
 def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
@@ -158,8 +137,6 @@ def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
         if last:
             break
         _signed_step(xv, g.reshape(shape), buf, eta, lo, hi)
-        if cfg.check_projection:
-            _check_projection(xv, lo, hi)
     # np.argmax takes the first maximum, as the strict ">" does within a restart
     pick = np.argmax(best_val.reshape((r,) + lead), axis=0)
     pick = pick.reshape((1,) + lead + (1,) * len(feat))
@@ -171,8 +148,8 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng):
     intersected with the input domain.
 
     Batched: ``x`` is (B, ...), ``y`` an int array (B,).  The returned points
-    lie inside the ball; per sample the best-objective iterate over all
-    restarts and steps is returned.  All restarts of all samples run as one
+    lie inside the ball; per sample the iterate of highest cross-entropy over
+    all restarts and steps is returned.  All restarts of all samples run as one
     batched ascent (see :func:`_ascend`).  ``rng`` is one generator shared by
     the batch, or a sequence of B generators, one per sample: then sample i
     gets exactly the points that attacking it alone with ``rng[i]`` gives
@@ -184,7 +161,7 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng):
     box = box_from_ball(x, eps)
     if eps == 0.0:
         return x.copy()
-    return _ascend(net, 0, box.lo, box.hi, y, _objective_targets(cfg, y), cfg, rng)
+    return _ascend(net, 0, box.lo, box.hi, y, None, cfg, rng)
 
 
 def margin_targets(num_classes, y):

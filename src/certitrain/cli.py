@@ -45,12 +45,10 @@ from .data import (
     take_subset,
 )
 from .loss import LossKind
-from .net import forward_concrete
-from .train import (NumericError, Schedule, TrainConfig, _certified_mask, natural_accuracy,
-                    taps_accuracy, train_run)
+from .net import forward_batch
+from .train import NumericError, Schedule, TrainConfig, taps_accuracy, train_run
 from .verify import (
     SampleVerdict,
-    adversarial_accuracy,
     certify_ibp,
     exact_margin_oracle,
     method_bound,
@@ -369,10 +367,10 @@ def _certify_chunk(args):
                           rng=[np.random.default_rng(seed + i) for i in ids])
     else:
         pgd = [None] * len(ids)
+    natural = np.argmax(forward_batch(net, X), axis=1) == y
     out = []
     for i in range(len(ids)):
         x, label = X[i], int(y[i])
-        nat = bool(np.argmax(forward_concrete(net, x)) == label)
         certified, hi = certify_ibp(net, x, label, eps)
         exact = None
         if "oracle" in methods:
@@ -380,7 +378,7 @@ def _certify_chunk(args):
                                       reached=pgd[i])
             exact = res.margin if res.exact else None
         out.append(SampleVerdict(
-            sample_id=int(ids[i]), natural_correct=nat, ibp_certified=bool(certified),
+            sample_id=int(ids[i]), natural_correct=bool(natural[i]), ibp_certified=bool(certified),
             pgd_margin=pgd[i], exact_margin=exact, method_bounds={"ibp": hi}))
     return out
 
@@ -481,8 +479,8 @@ def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bi
             skipped += 1
             continue
         for m in methods:
-            margin, _ = method_bound(net, x, y, eps, m, rng=rng,
-                                     attack=AttackConfig(steps=50, restarts=3 if m == "pgd" else 1))
+            margin = method_bound(net, x, y, eps, m, rng=rng,
+                                  attack=AttackConfig(steps=50, restarts=3 if m == "pgd" else 1))
             errors[m].append(margin - res.margin)
     if skipped == len(ds):
         raise ConfigError(
@@ -537,6 +535,10 @@ def _sweep_config(config: Config, sweep, value) -> Config:
 
 
 def cmd_ablate(config: Config, sweep, values) -> str:
+    """Train one run per value into ``{sweep}_{value}/`` and certify its best
+    checkpoint there as ``certify --methods ibp,pgd`` does; the row's nat, adv
+    and cert columns are that summary's natural, adversarial and
+    IBP-certified accuracy."""
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, f"ablation_{sweep}.csv")
     train_ds = prepared_train_set(config)
@@ -544,18 +546,16 @@ def cmd_ablate(config: Config, sweep, values) -> str:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("sweep,value,seed,nat_acc,taps_acc,adv_acc,cert_acc\n")
         for value in values:
-            cfg = _sweep_config(config, sweep, value)
-            out_dir = os.path.join(config.out, f"{sweep}_{value}")
-            result = train_run(cfg.train_config(), train_ds, out_dir)
+            cfg = dataclasses.replace(_sweep_config(config, sweep, value),
+                                      out=os.path.join(config.out, f"{sweep}_{value}"))
+            result = train_run(cfg.train_config(), train_ds, cfg.out)
+            summary = cmd_certify(cfg, result["best"], ("ibp", "pgd"))
+            nat, adv, cert = (summary[k] for k in ("natural_accuracy", "adversarial_accuracy",
+                                                   "ibp_certified_accuracy"))
             net, _ = load_checkpoint(result["best"])
-            nat = natural_accuracy(net, test_ds.images, test_ds.labels)
             t_acc = taps_accuracy(net, test_ds.images, test_ds.labels, cfg.epsilon,
                                   AttackConfig(steps=cfg.attack_steps),
                                   rng=np.random.default_rng(cfg.seed + 4))
-            adv = adversarial_accuracy(net, test_ds.images, test_ds.labels, cfg.epsilon,
-                                       cfg.eval_attack(), seed=cfg.sample_seed)
-            cert = float(np.mean(_certified_mask(net, test_ds.images, test_ds.labels,
-                                                 cfg.epsilon)))
             fh.write(f"{sweep},{value},{cfg.seed},{nat!r},{t_acc!r},{adv!r},{cert!r}\n")
             fh.flush()
             print(f"{sweep}={value}: nat={nat:.4f} taps={t_acc:.4f} adv={adv:.4f} cert={cert:.4f}")

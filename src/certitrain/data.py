@@ -112,6 +112,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     if images.shape[0] != labels.shape[0]:
         raise IdxError(f"{labels_path}: label count {labels.shape[0]} != image count "
                        f"{images.shape[0]} of {images_path}")
+    if labels.size and labels.max() > 9:
+        raise IdxError(f"{labels_path}: label {labels.max()} outside 0-9")
     n, h, w = images.shape
     return Dataset(
         images=(images.astype(np.float64) / 255.0).reshape(n, 1, h, w),

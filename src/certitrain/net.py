@@ -40,7 +40,6 @@ __all__ = [
     "Network",
     "build_architecture",
     "init_params",
-    "forward_concrete",
     "forward_batch",
     "elide_final_layer",
     "lift_params",
@@ -456,14 +455,6 @@ def forward_batch(net: Network, x, start=0, stop=None) -> np.ndarray:
     for layer in net.layers[start : stop if stop is not None else len(net.layers)]:
         x = layer.forward(x)
     return x
-
-
-def forward_concrete(net: Network, x) -> np.ndarray:
-    """Logits for a single sample shaped like ``net.input_shape``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != net.input_shape:
-        raise ValueError(f"input shape {x.shape} != expected {net.input_shape}")
-    return forward_batch(net, x[None])[0]
 
 
 def elide_final_layer(net: Network, y: int) -> Network:

@@ -128,9 +128,11 @@ class SGD:
         return out
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.m = self.v = None
         self.t = 0
 
@@ -139,13 +141,13 @@ class Adam:
             self.m = [np.zeros_like(a) for a in arrays]
             self.v = [np.zeros_like(a) for a in arrays]
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         out = []
         for i, (a, g) in enumerate(zip(arrays, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            out.append(a - lr * (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + self.eps))
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            out.append(a - lr * (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + ADAM_EPS))
         return out
 
 

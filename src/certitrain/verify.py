@@ -47,7 +47,6 @@ __all__ = [
     "LP_TOLERANCE",
     "method_bound",
     "pgd_margins",
-    "adversarial_accuracy",
     "variance_theorem_check",
     "VarianceReport",
     "SampleVerdict",
@@ -637,7 +636,7 @@ class _BranchAndBound:
     def margin_at(self, point):
         """Concrete margin at an input (clipped into the box)."""
         point = np.clip(point, self.x_lo, self.x_hi).reshape(self.net.input_shape)
-        return _margin_at(self.net, point, self.y)[0]
+        return _margin_at(self.net, point, self.y)
 
     def class_bound(self, cls, lp_budget, decide):
         """(sound upper bound on max (o_cls - o_y), status) within ``lp_budget`` LPs.
@@ -750,24 +749,22 @@ def margin_upper_bound(net: Network, x, y, eps, lp_budget=256) -> float:
 # ---------------------------------------------------------------------------
 
 def _margin_at(net: Network, point, y):
-    """(margin, logit differences) at one input point, from a one-row forward."""
+    """Margin at one input point, from a one-row forward."""
     logits = forward_batch(net, point[None])[0]
-    diffs = logits - logits[y]
-    return margin_loss(diffs, y), diffs
+    return margin_loss(logits - logits[y], y)
 
 
 def pgd_margins(net: Network, X, y, eps, attack: AttackConfig, rng):
     """PGD margin of each sample of a batch: one batched attack over all
-    samples and restarts, each margin read at its sample's point as
-    :func:`method_bound` ``"pgd"`` reads it.  ``rng`` is one generator or one
-    per sample (see :func:`attack.pgd_input`)."""
+    samples and restarts, each margin read at its sample's point.  ``rng`` is
+    one generator or one per sample (see :func:`attack.pgd_input`)."""
     y = np.asarray(y, dtype=np.intp)
     adv = pgd_input(net, X, y, eps, attack, rng=rng)
-    return [_margin_at(net, point, label)[0] for point, label in zip(adv, y)]
+    return [_margin_at(net, point, label) for point, label in zip(adv, y)]
 
 
-def method_bound(net: Network, x, y, eps, method, attack=None, *, rng):
-    """(margin approximation, logit-difference vector) for one method.
+def method_bound(net: Network, x, y, eps, method, attack=None, *, rng) -> float:
+    """Margin approximation (largest non-label logit difference) of one method.
 
     ``ibp`` is a sound upper bound, ``pgd`` a feasible-point value (an
     under-approximation), ``sabr``/``taps`` may err on either side.  ``sabr``
@@ -776,43 +773,22 @@ def method_bound(net: Network, x, y, eps, method, attack=None, *, rng):
     """
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
-        hi = ibp_bounds(net, x, y, eps).hi
-        return margin_loss(hi, y), hi
+        return margin_loss(certify_ibp(net, x, y, eps)[1], y)
     if method == "pgd":
-        cfg = attack or AttackConfig(steps=50, restarts=3)
-        adv = pgd_input(net, x[None], np.asarray([y]), eps, cfg, rng=rng)[0]
-        return _margin_at(net, adv, y)
+        return pgd_margins(net, x[None], [y], eps, attack or AttackConfig(steps=50, restarts=3),
+                           rng=rng)[0]
     if method == "sabr":
         cfg = attack or AttackConfig(steps=50)
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.4 * eps, cfg, rng=rng)
-        hi = elided_bounds(net, region, [y]).hi[0]
-        return margin_loss(hi, y), hi
+        return margin_loss(elided_bounds(net, region, [y]).hi[0], y)
     if method == "taps":
         cfg = attack or AttackConfig(steps=50)
         latent_box = propagate_box(net, box_from_ball(x[None], eps), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, np.asarray([y]), cfg,
                                      multi=True, rng=rng)
-        flat = points[0]
-        logits = forward_batch(net, flat, start=net.split_index)
-        estimates = logits[np.arange(targets.shape[1]), targets[0]] - logits[:, y]
-        diffs = np.zeros(net.num_classes)
-        diffs[targets[0]] = estimates
-        return float(estimates.max()), diffs
+        logits = forward_batch(net, points[0], start=net.split_index)
+        return float((logits[np.arange(targets.shape[1]), targets[0]] - logits[:, y]).max())
     raise ValueError(f"unknown method {method!r}")
-
-
-def adversarial_accuracy(net: Network, X, y, eps, attack=None, *, seed) -> float:
-    """Share of samples whose PGD margin stays below zero (an upper bound on
-    robustness), read as ``certify`` reads it.  Sample i is attacked with its
-    own generator, seeded ``seed + i``; a pass attacks at most 256 rows,
-    ``256 // restarts`` samples."""
-    cfg = attack or AttackConfig(steps=200, restarts=5)
-    margins, chunk = [], max(1, 256 // cfg.restarts)
-    for start in range(0, len(X), chunk):
-        ids = range(start, min(start + chunk, len(X)))
-        margins += pgd_margins(net, X[start : start + chunk], y[start : start + chunk], eps, cfg,
-                               rng=[np.random.default_rng(seed + i) for i in ids])
-    return float(np.mean(np.asarray(margins) < 0.0))
 
 
 # ---------------------------------------------------------------------------

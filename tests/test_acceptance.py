@@ -26,6 +26,7 @@ from certitrain import tensor as T
 from certitrain.attack import AttackConfig, margin_targets, sabr_select_region
 from certitrain.connector import ConnectorParams, connector_node, connector_partials
 from certitrain.checkpoint import load_checkpoint, save_checkpoint
+from certitrain.cli import blas_threads
 from certitrain.data import load_mnist_idx, synthetic_digits, synthetic_moons, take_subset
 from certitrain.interval import box_from_ball, ibp_bounds
 from certitrain.loss import LossKind, ibp_loss_terms, paired_loss_terms
@@ -133,10 +134,10 @@ def test_criterion_2_oracle_sandwich():
         if not res.exact:
             continue
         resolved += 1
-        pgd_m, _ = method_bound(net, x, y, eps, "pgd",
-                                attack=AttackConfig(steps=60, restarts=3),
-                                rng=np.random.default_rng(attempts))
-        ibp_m, _ = method_bound(net, x, y, eps, "ibp", rng=None)
+        pgd_m = method_bound(net, x, y, eps, "pgd",
+                             attack=AttackConfig(steps=60, restarts=3),
+                             rng=np.random.default_rng(attempts))
+        ibp_m = method_bound(net, x, y, eps, "ibp", rng=None)
         if not (pgd_m <= res.margin + 1e-9 and res.margin <= ibp_m + 1e-9):
             sandwich_bad += 1
     corner_bad = 0
@@ -411,7 +412,8 @@ def test_criterion_7_desk_headline():
            f"[{corpus}] mean nat taps={np.mean(nats['taps_multi']):.4f} vs "
            f"ibp={np.mean(nats['ibp']):.4f} (gap {nat_gap:+.4f}, must be >0); "
            f"mean cert taps={np.mean(certs['taps_multi']):.4f} vs "
-           f"ibp={np.mean(certs['ibp']):.4f} (gap {cert_gap:+.4f}, tol -0.003)")
+           f"ibp={np.mean(certs['ibp']):.4f} (gap {cert_gap:+.4f}, tol -0.003); "
+           f"blas_threads={blas_threads()}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +444,7 @@ def test_criterion_8_tightness_ordering():
             continue
         for m in errors:
             attack = AttackConfig(steps=50, restarts=3 if m == "pgd" else 1)
-            margin, _ = method_bound(net, x, y, 0.08, m, attack=attack, rng=rng)
+            margin = method_bound(net, x, y, 0.08, m, attack=attack, rng=rng)
             errors[m].append(margin - res.margin)
     n = len(errors["ibp"])
     ibp_abs = float(np.mean(np.abs(errors["ibp"])))
@@ -512,7 +514,8 @@ def test_criterion_9_ablation_trends():
            f"(a) taps_acc c=0.5 {m['taps_c05']:.4f} >= c=0 {m['taps_c0']:.4f}: {a_ok}; "
            f"(b) cert multi {m['multi']:.4f} >= single {m['single']:.4f}: {b_ok}; "
            f"(c) cert 1-step taps {m['taps1']:.4f} >= ibp {m['ibp']:.4f}: {c_ok}; "
-           f"(d) relus=0 bitwise == ibp: {d_ok}; per seed {per_seed}")
+           f"(d) relus=0 bitwise == ibp: {d_ok}; per seed {per_seed}; "
+           f"blas_threads={blas_threads()}")
 
 
 # ---------------------------------------------------------------------------

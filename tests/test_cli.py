@@ -22,9 +22,11 @@ from certitrain.cli import (
     cmd_train,
     config_from_dict,
     main,
+    prepared_test_set,
 )
 from certitrain.data import synthetic_digits
 from certitrain.net import build_architecture, init_params
+from certitrain.verify import pgd_margins
 
 from helpers import dyadic_mlp, write_idx_images, write_idx_labels
 
@@ -245,6 +247,22 @@ def test_truncated_idx_exits_4(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_idx_label_out_of_range_exits_4(tmp_path, capsys):
+    digits = synthetic_digits(20, seed=0)
+    write_idx_images(tmp_path / "train-images-idx3-ubyte",
+                     (digits.images[:, 0] * 255).astype(np.uint8))
+    labels = digits.labels.copy()
+    labels[7] = 12
+    path = tmp_path / "train-labels-idx1-ubyte"
+    write_idx_labels(path, labels)
+    rc = main(["train", "--dataset", "mnist", "--data", str(tmp_path),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(f"i/o error: {path}: label 12 outside 0-9")
+    assert len(err.strip().splitlines()) == 1
+
+
 # numpy's overflow warnings fire before the non-finite loss is detected; the
 # suite turns RuntimeWarning into errors, which would end the run before main
 # can map the failure to its exit code
@@ -353,6 +371,26 @@ def test_certify_round_trip(tmp_path):
     verdicts = [json.loads(l) for l in open(summary["verdicts"])]
     assert len(verdicts) == 60
     assert verdicts[0]["sample_id"] == 0
+
+
+def test_certify_attacks_each_sample_with_its_own_generator(tmp_path):
+    """More samples than one chunk of batch_size // restarts: each sample's
+    margin is the one its lone attack with generator ``sample_seed + i``
+    finds, whatever chunk it lands in."""
+    net = dyadic_mlp(np.random.default_rng(17), [2, 8, 8, 2])
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, net)
+    cfg = config_from_dict(fast_overrides(tmp_path, test_subset=60, epsilon=0.25, batch_size=50,
+                                          eval_attack_steps=2, eval_attack_restarts=5, seed=19))
+    summary = cmd_certify(cfg, str(ckpt))
+    ds = prepared_test_set(cfg)
+    alone = [pgd_margins(net, ds.images[i : i + 1], ds.labels[i : i + 1], cfg.epsilon,
+                         cfg.eval_attack(), rng=[np.random.default_rng(cfg.sample_seed + i)])[0]
+             for i in range(len(ds))]
+    verdicts = [json.loads(line) for line in open(summary["verdicts"])]
+    assert [v["pgd_margin"] for v in verdicts] == alone
+    assert 0.0 < summary["adversarial_accuracy"] < 1.0
+    assert summary["adversarial_accuracy"] == np.mean(np.asarray(alone) < 0.0)
 
 
 def test_certify_eps_zero_equals_natural(tmp_path):
@@ -480,6 +518,22 @@ def test_ablate_connector_sweep(tmp_path):
     rows = open(path).read().strip().splitlines()
     assert rows[0] == "sweep,value,seed,nat_acc,taps_acc,adv_acc,cert_acc"
     assert len(rows) == 4
+
+
+def test_ablate_columns_are_certify_summaries(tmp_path):
+    cfg = config_from_dict(fast_overrides(tmp_path, subset=120, test_subset=20))
+    path = cmd_ablate(cfg, "split", ["0", "1"])
+    rows = [line.split(",") for line in open(path).read().strip().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["0", "1"]
+    for row in rows:
+        run = tmp_path / "run" / f"split_{row[1]}"
+        assert len((run / "verdicts.jsonl").read_text().splitlines()) == 20
+        check = dataclasses.replace(cfg, out=str(tmp_path / f"check_{row[1]}"))
+        summary = cmd_certify(check, str(run / "best.ckpt"))
+        nat, adv, cert = (float(row[i]) for i in (3, 5, 6))
+        assert nat == summary["natural_accuracy"]
+        assert adv == summary["adversarial_accuracy"]
+        assert cert == summary["ibp_certified_accuracy"]
 
 
 def test_ablate_w_taps_inf_token(tmp_path):

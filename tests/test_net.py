@@ -12,7 +12,6 @@ from certitrain.net import (
     build_architecture,
     elide_final_layer,
     forward_batch,
-    forward_concrete,
     init_params,
     relu_layer_count,
 )
@@ -132,12 +131,12 @@ def test_ibp_stable_radius_growth():
 
 def test_forward_identity_affine():
     net = Network([Affine(np.eye(2), np.zeros(2))], 0, 2, (2,))
-    np.testing.assert_allclose(forward_concrete(net, np.array([1.0, 2.0])), [1.0, 2.0])
+    np.testing.assert_allclose(forward_batch(net, np.array([[1.0, 2.0]]))[0], [1.0, 2.0])
 
 
 def test_forward_zero_weights_gives_bias():
     net = Network([Affine(np.zeros((3, 2)), np.array([1.0, -2.0, 0.5]))], 0, 3, (2,))
-    np.testing.assert_allclose(forward_concrete(net, np.array([4.0, 5.0])), [1.0, -2.0, 0.5])
+    np.testing.assert_allclose(forward_batch(net, np.array([[4.0, 5.0]]))[0], [1.0, -2.0, 0.5])
 
 
 def test_forward_matches_manual_composition():
@@ -150,13 +149,7 @@ def test_forward_matches_manual_composition():
             h = layer.weight @ h + layer.bias
         elif isinstance(layer, ReLU):
             h = np.maximum(h, 0.0)
-    np.testing.assert_allclose(forward_concrete(net, x), h, atol=1e-12)
-
-
-def test_forward_shape_mismatch():
-    net = random_mlp(np.random.default_rng(0), [5, 4, 3])
-    with pytest.raises(ValueError, match="shape"):
-        forward_concrete(net, np.zeros(6))
+    np.testing.assert_allclose(forward_batch(net, x[None])[0], h, atol=1e-12)
 
 
 def test_split_never_changes_forward():
@@ -185,8 +178,8 @@ def test_elide_equals_logit_differences():
         elided = elide_final_layer(net, y)
         for _ in range(20):
             x = rng.normal(size=4)
-            o = forward_concrete(net, x)
-            d = forward_concrete(elided, x)
+            o = forward_batch(net, x[None])[0]
+            d = forward_batch(elided, x[None])[0]
             np.testing.assert_allclose(d, o - o[y], atol=1e-12)
             assert d[y] == 0.0
 

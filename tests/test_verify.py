@@ -18,7 +18,6 @@ from certitrain.net import Affine, Network, ReLU, elide_final_layer, forward_bat
 from certitrain.verify import (
     LP_TOLERANCE,
     SampleVerdict,
-    adversarial_accuracy,
     certify_ibp,
     certify_relaxed,
     exact_margin_oracle,
@@ -30,7 +29,7 @@ from certitrain.verify import (
 )
 from certitrain.train import Schedule, TrainConfig, _certified_mask, taps_accuracy, train_run
 
-from helpers import dyadic_mlp, random_cnn, random_mlp, reference_oracle, sample_box
+from helpers import random_cnn, random_mlp, reference_oracle, sample_box
 
 
 def test_certify_eps_zero_correct_sample():
@@ -205,7 +204,7 @@ def test_pruned_oracle_solves_fewer_lps(monkeypatch):
     pruned = len(calls)
     assert pruned < plain
     # the PGD margin as the reached margin skips more
-    pgd, _ = method_bound(net, x, y, eps, "pgd", rng=np.random.default_rng(0))
+    pgd = method_bound(net, x, y, eps, "pgd", rng=np.random.default_rng(0))
     calls.clear()
     assert repr(exact_margin_oracle(net, x, y, eps, budget_unstable=12, reached=pgd)) == repr(ref)
     assert len(calls) < pruned
@@ -363,9 +362,9 @@ def test_reached_margin_floor_matches_plain_enumeration_bitwise(monkeypatch, cas
     _, calls = _spy_lp_points(monkeypatch)
     for net, x, y, eps in CORNER_CASES[case]():
         ref = reference_oracle(net, x, y, eps, budget_unstable=12)
-        pgd, _ = method_bound(net, x, y, eps, "pgd",
-                              attack=AttackConfig(steps=20, restarts=2),
-                              rng=np.random.default_rng(0))
+        pgd = method_bound(net, x, y, eps, "pgd",
+                           attack=AttackConfig(steps=20, restarts=2),
+                           rng=np.random.default_rng(0))
         del calls[:]
         exact_margin_oracle(net, x, y, eps, budget_unstable=12)
         without = len(calls)
@@ -400,10 +399,10 @@ def test_oracle_sandwich_random_tiny_nets(seed):
     res = exact_margin_oracle(net, x, y, eps, budget_unstable=12)
     if not res.exact:
         pytest.skip("instance exceeded unstable budget")
-    pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                 attack=AttackConfig(steps=60, restarts=3),
-                                 rng=np.random.default_rng(seed))
-    ibp_margin, _ = method_bound(net, x, y, eps, "ibp", rng=None)
+    pgd_margin = method_bound(net, x, y, eps, "pgd",
+                              attack=AttackConfig(steps=60, restarts=3),
+                              rng=np.random.default_rng(seed))
+    ibp_margin = method_bound(net, x, y, eps, "ibp", rng=None)
     assert pgd_margin <= res.margin + 1e-9
     assert res.margin <= ibp_margin + 1e-9
     # interior Monte Carlo points can never beat the exact maximum
@@ -448,10 +447,10 @@ def _oracle_resolved_instances(seed, count):
 def test_relaxed_bound_sandwich_and_exactness(seed):
     """PGD <= exact <= relaxed <= IBP; splitting every unstable unit is exact."""
     for trial, (net, x, y, eps, exact, n_unstable) in enumerate(_oracle_resolved_instances(seed, 12)):
-        pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                     attack=AttackConfig(steps=60, restarts=3),
-                                     rng=np.random.default_rng(trial))
-        ibp_margin, _ = method_bound(net, x, y, eps, "ibp", rng=None)
+        pgd_margin = method_bound(net, x, y, eps, "pgd",
+                                  attack=AttackConfig(steps=60, restarts=3),
+                                  rng=np.random.default_rng(trial))
+        ibp_margin = method_bound(net, x, y, eps, "ibp", rng=None)
         relaxed = margin_upper_bound(net, x, y, eps, lp_budget=16)
         assert pgd_margin <= exact + 1e-9
         assert exact <= relaxed
@@ -467,9 +466,9 @@ def test_relaxed_certificate_agrees_with_oracle_and_attack():
         # a correct label keeps most instances from failing at x itself
         y = int(np.argmax(forward_batch(net, x[None])[0]))
         exact = exact_margin_oracle(net, x, y, eps, budget_unstable=12).margin
-        pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                     attack=AttackConfig(steps=60, restarts=3),
-                                     rng=np.random.default_rng(trial))
+        pgd_margin = method_bound(net, x, y, eps, "pgd",
+                                  attack=AttackConfig(steps=60, restarts=3),
+                                  rng=np.random.default_rng(trial))
         res = certify_relaxed(net, x, y, eps, lp_budget=16)
         if res.certified:
             certified += 1
@@ -618,10 +617,10 @@ def test_relaxed_conv_net_between_attack_and_ibp():
         y = int(np.argmax(forward_batch(net, x[None])[0]))
         eps = 0.03
         relaxed = margin_upper_bound(net, x, y, eps, lp_budget=8)
-        pgd_margin, _ = method_bound(net, x, y, eps, "pgd",
-                                     attack=AttackConfig(steps=40, restarts=2),
-                                     rng=np.random.default_rng(trial))
-        ibp_margin, _ = method_bound(net, x, y, eps, "ibp", rng=None)
+        pgd_margin = method_bound(net, x, y, eps, "pgd",
+                                  attack=AttackConfig(steps=40, restarts=2),
+                                  rng=np.random.default_rng(trial))
+        ibp_margin = method_bound(net, x, y, eps, "ibp", rng=None)
         assert pgd_margin <= relaxed <= ibp_margin + 1e-9
         checked += relaxed < ibp_margin - 1e-6
     assert checked >= 1
@@ -639,14 +638,14 @@ def test_method_bound_signs_against_oracle():
         if not res.exact:
             continue
         checked += 1
-        ibp_m, _ = method_bound(net, x, y, eps, "ibp", rng=None)
-        pgd_m, _ = method_bound(net, x, y, eps, "pgd",
-                                attack=AttackConfig(steps=40, restarts=2),
-                                rng=np.random.default_rng(trial))
-        taps_m, _ = method_bound(net, x, y, eps, "taps",
-                                 attack=AttackConfig(steps=40), rng=np.random.default_rng(trial))
-        sabr_m, _ = method_bound(net, x, y, eps, "sabr",
-                                 attack=AttackConfig(steps=20), rng=np.random.default_rng(trial))
+        ibp_m = method_bound(net, x, y, eps, "ibp", rng=None)
+        pgd_m = method_bound(net, x, y, eps, "pgd",
+                             attack=AttackConfig(steps=40, restarts=2),
+                             rng=np.random.default_rng(trial))
+        taps_m = method_bound(net, x, y, eps, "taps",
+                              attack=AttackConfig(steps=40), rng=np.random.default_rng(trial))
+        sabr_m = method_bound(net, x, y, eps, "sabr",
+                              attack=AttackConfig(steps=20), rng=np.random.default_rng(trial))
         assert ibp_m - res.margin >= -1e-9          # sound over-approximation
         assert pgd_m - res.margin <= 1e-9           # feasible-point under-approx
         assert taps_m <= ibp_m + 1e-9               # attacked bound below interval bound
@@ -684,33 +683,20 @@ def test_concrete_bound_paths_build_no_tape(monkeypatch):
     assert len(built) == 1  # the count sees a construction
 
 
-def test_adversarial_accuracy_bounds():
+def test_pgd_margins_bounds():
     rng = np.random.default_rng(5)
     net = random_mlp(rng, [4, 10, 3], scale=0.7)
     X = rng.uniform(0, 1, size=(40, 4))
     y = np.argmax(forward_batch(net, X), axis=1)
     eps = 0.03
-    adv_acc = adversarial_accuracy(net, X, y, eps, AttackConfig(steps=30, restarts=2), seed=0)
+    margins = pgd_margins(net, X, y, eps, AttackConfig(steps=30, restarts=2),
+                          rng=np.random.default_rng(0))
+    adv_acc = np.mean(np.asarray(margins) < 0.0)
     cert = np.mean([certify_ibp(net, X[i], int(y[i]), eps)[0] for i in range(len(y))])
     nat = 1.0
     assert cert <= adv_acc + 1e-12 <= nat + 1e-12
-    assert adversarial_accuracy(net, X, y, 0.0, seed=0) == 1.0
-
-
-def test_adversarial_accuracy_attacks_each_sample_with_its_own_generator():
-    """More samples than one pass of 256 // restarts: each sample's margin is
-    the one its lone attack with generator ``seed + i`` finds, whatever pass
-    it lands in."""
-    rng = np.random.default_rng(17)
-    net = dyadic_mlp(rng, [4, 8, 8, 3])
-    X = rng.uniform(0, 1, size=(60, 4))
-    y = np.argmax(forward_batch(net, X), axis=1)
-    attack, seed = AttackConfig(steps=2, restarts=5), 21
-    alone = [pgd_margins(net, X[i : i + 1], y[i : i + 1], 0.25, attack,
-                         rng=[np.random.default_rng(seed + i)])[0] for i in range(len(X))]
-    expected = np.mean(np.asarray(alone) < 0.0)
-    assert 0.0 < expected < 1.0
-    assert adversarial_accuracy(net, X, y, 0.25, attack, seed=seed) == expected
+    at_zero = pgd_margins(net, X, y, 0.0, AttackConfig(), rng=np.random.default_rng(0))
+    assert np.all(np.asarray(at_zero) < 0.0)
 
 
 def variance_setup(seed=0, pool=60):
