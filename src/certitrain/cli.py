@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
+from . import _MALLOC
 from .attack import AttackConfig
 from .checkpoint import CheckpointError, load_checkpoint
 from .connector import ConnectorParams
@@ -322,14 +323,16 @@ def blas_threads():
 def environment():
     """What a run's numbers depend on besides its configuration: the Python,
     numpy and scipy versions, the BLAS library and its thread count (None
-    where it cannot be asked)."""
+    where it cannot be asked), and the allocator thresholds set at import
+    (None off glibc)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         blas = None
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas, "blas_threads": blas_threads()}
+            "scipy": scipy.__version__, "blas": blas, "blas_threads": blas_threads(),
+            "malloc": _MALLOC}
 
 
 def write_manifest(out_dir, config: Config, artifacts):
@@ -438,8 +441,10 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
             fh.write(verdict_json_line(v) + "\n")
 
     nat = float(np.mean([v.natural_correct for v in verdicts]))
-    adv = (float(np.mean([v.pgd_margin < 0 for v in verdicts])) if "pgd" in methods
-           else None)
+    # robust only where the clean point is also classified correctly: the
+    # attack never scores the clean point itself
+    adv = (float(np.mean([v.natural_correct and v.pgd_margin < 0 for v in verdicts]))
+           if "pgd" in methods else None)
     ibp_cert = float(np.mean([v.ibp_certified for v in verdicts]))
     oracle_resolved = [v for v in verdicts if v.exact_margin is not None]
     certified = float(np.mean([

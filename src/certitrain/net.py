@@ -116,7 +116,9 @@ class Affine(Layer):
         return (self.weight.shape[0],)
 
     def forward(self, x):
-        return x @ self.weight.T + self.bias
+        out = x @ self.weight.T
+        out += self.bias
+        return out
 
     def input_vjp(self, g, x):
         return g @ self.weight
@@ -130,7 +132,8 @@ class Affine(Layer):
         center = (lo + hi) * 0.5
         radius = (hi - lo) * 0.5
         wt, abs_wt = self.weight.T.copy(), np.abs(self.weight).T.copy()
-        c_out = center @ wt + self.bias
+        c_out = center @ wt
+        c_out += self.bias
         r_out = radius @ abs_wt
         if kept is not None:
             kept.update(center=center, radius=radius, wt=wt, abs_wt=abs_wt)

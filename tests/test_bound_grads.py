@@ -3,7 +3,7 @@
 ``train._bound_loss_grads`` runs one numpy interval pass and a numpy reverse
 pass; ``helpers.taped_bound_loss_grads`` builds the same loss on the tape.
 The two must agree bit for bit, and the numpy pass must leave nothing for the
-cyclic garbage collector.
+cyclic garbage collector nor page-fault its heap back in on the next call.
 """
 
 import gc
@@ -11,6 +11,7 @@ import gc
 import numpy as np
 import pytest
 
+import certitrain
 from certitrain import tensor as T
 from certitrain.attack import AttackConfig, sabr_select_region
 from certitrain.interval import box_from_ball
@@ -68,3 +69,19 @@ def test_bound_gradient_builds_no_tape_and_no_garbage(monkeypatch):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_bound_gradient_reuses_the_freed_heap():
+    """A step's second call finds the pages its first one freed still
+    mapped: the package raises glibc's mmap and trim thresholds at import.
+    Without them a cnn3 batch-128 call takes about 13,600 minor faults."""
+    if certitrain._MALLOC is None:
+        pytest.skip("mallopt unavailable (not glibc)")
+    import resource
+
+    X, y = _batch("cnn3", 128)
+    box = box_from_ball(X, 0.1)
+    _bound_loss_grads(NETS["cnn3"], box, y, reg_lambda=0.5, eps_frac=0.5)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _bound_loss_grads(NETS["cnn3"], box, y, reg_lambda=0.5, eps_frac=0.5)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

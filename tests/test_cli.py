@@ -25,7 +25,7 @@ from certitrain.cli import (
     prepared_test_set,
 )
 from certitrain.data import synthetic_digits
-from certitrain.net import build_architecture, init_params
+from certitrain.net import Affine, Network, ReLU, build_architecture, init_params
 from certitrain.verify import pgd_margins
 
 from helpers import dyadic_mlp, write_idx_images, write_idx_labels
@@ -350,6 +350,10 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert threads is None or threads >= 1
     if threads is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
         assert threads == 1
+    if platform.libc_ver()[0] == "glibc":
+        assert env["malloc"] == {"mmap_threshold": 32 << 20, "trim_threshold": 1 << 30}
+    else:
+        assert env["malloc"] is None
 
 
 def test_manifest_hash_tracks_params(tmp_path):
@@ -390,7 +394,30 @@ def test_certify_attacks_each_sample_with_its_own_generator(tmp_path):
     verdicts = [json.loads(line) for line in open(summary["verdicts"])]
     assert [v["pgd_margin"] for v in verdicts] == alone
     assert 0.0 < summary["adversarial_accuracy"] < 1.0
-    assert summary["adversarial_accuracy"] == np.mean(np.asarray(alone) < 0.0)
+    assert summary["adversarial_accuracy"] == np.mean(
+        [v["natural_correct"] and m < 0.0 for v, m in zip(verdicts, alone)])
+
+
+def test_certify_counts_a_misclassified_sample_as_not_robust(tmp_path):
+    """A sample whose clean point is misclassified is not adversarially
+    robust, even where the attack, which never scores the clean point, ends
+    on a correctly classified one."""
+    cfg = config_from_dict(fast_overrides(tmp_path, test_subset=2, epsilon=0.05))
+    ds = prepared_test_set(cfg)
+    (c, _), label = ds.images[0], int(ds.labels[0])
+    # the label's logit is 1e6 * |x0 - c|, the other's 1e-3: sample 0 is
+    # misclassified at x0 = c only, a spike no attack iterate lands on
+    hidden = Affine(np.array([[1e6, 0.0], [-1e6, 0.0]]), np.array([-1e6 * c, 1e6 * c]))
+    out_w, out_b = np.zeros((2, 2)), np.zeros(2)
+    out_w[label], out_b[1 - label] = 1.0, 1e-3
+    ckpt = tmp_path / "spike.ckpt"
+    save_checkpoint(ckpt, Network([hidden, ReLU(), Affine(out_w, out_b)], 0, 2, (2,)))
+    summary = cmd_certify(cfg, str(ckpt))
+    verdict = json.loads(open(summary["verdicts"]).readline())
+    assert not verdict["natural_correct"] and verdict["pgd_margin"] < 0.0
+    # sample 1 counts alike in both: misclassified, or correct with no
+    # misclassified point in reach of the attack
+    assert summary["adversarial_accuracy"] == summary["natural_accuracy"]
 
 
 def test_certify_eps_zero_equals_natural(tmp_path):
