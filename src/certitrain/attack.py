@@ -212,10 +212,6 @@ def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng) -> 
     if not 0 < tau <= eps:
         raise ValueError(f"tau must lie in (0, eps]; got tau={tau}, eps={eps}")
     x = np.asarray(x, dtype=np.float64)
-    shrink = eps - tau
-    if shrink == 0.0:
-        center = x.copy()
-    else:
-        center = pgd_input(net, x, y, shrink, cfg, rng=rng)
+    center = pgd_input(net, x, y, eps - tau, cfg, rng=rng)
     small = box_from_ball(center, tau)
     return BoxBounds(np.maximum(small.lo, x - eps), np.minimum(small.hi, x + eps))

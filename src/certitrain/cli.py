@@ -45,7 +45,7 @@ from .data import (
     synthetic_moons,
     take_subset,
 )
-from .loss import LossKind
+from .loss import LOSS_TAGS, LossKind
 from .net import forward_batch
 from .train import NumericError, Schedule, TrainConfig, taps_accuracy, train_run
 from .verify import (
@@ -64,15 +64,6 @@ class ConfigError(ValueError):
     pass
 
 
-LOSS_NAMES = {
-    "natural": "natural",
-    "pgd-at": "pgd_at",
-    "ibp": "ibp",
-    "taps": "taps_multi",
-    "taps-single": "taps_single",
-    "sabr": "sabr",
-    "staps": "staps",
-}
 DATASETS = ("synthetic-digits", "moons", "mnist")
 
 
@@ -127,8 +118,8 @@ class Config:
         settings describe; raises ConfigError."""
         for f in dataclasses.fields(self):
             setattr(self, f.name, _coerce(f.name, getattr(self, f.name)))
-        if self.loss not in LOSS_NAMES:
-            raise ConfigError(f"loss: unknown value {self.loss!r} (choose from {sorted(LOSS_NAMES)})")
+        if self.loss not in LOSS_TAGS:
+            raise ConfigError(f"loss: unknown value {self.loss!r} (choose from {sorted(LOSS_TAGS)})")
         if self.loss in ("sabr", "staps"):
             if self.tau_ratio is None:
                 raise ConfigError(f"loss {self.loss!r} requires --tau-ratio")
@@ -139,8 +130,8 @@ class Config:
         for name, low in (("jobs", 1), ("test_subset", 1), ("oracle_budget", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name}: must be >= {low}")
-        if self.subset is not None and self.subset < 1:
-            raise ConfigError("subset: must be >= 1 (leave it unset for the whole split)")
+        if self.subset is not None and self.subset < 2:
+            raise ConfigError("subset: must be >= 2 (the validation split takes one sample)")
         for part, build in (("training", self.train_config), ("evaluation attack", self.eval_attack)):
             try:
                 build()
@@ -151,7 +142,7 @@ class Config:
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             loss=LossKind(
-                tag=LOSS_NAMES[self.loss],
+                tag=self.loss,
                 w_taps=self.w_taps,
                 connector=ConnectorParams(c=self.connector_c),
                 attack=AttackConfig(steps=self.attack_steps, restarts=self.attack_restarts),
@@ -472,6 +463,8 @@ def cmd_certify(config: Config, checkpoint_path, methods=("ibp", "pgd")) -> dict
 # ---------------------------------------------------------------------------
 
 def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bins=40) -> dict:
+    if bins < 1:
+        raise ConfigError(f"bins: must be >= 1, got {bins}")
     net, ds = _checked_inputs(config, checkpoint_path, methods, TIGHTNESS_METHODS)
     eps = config.epsilon
     errors = {m: [] for m in methods}
@@ -484,8 +477,7 @@ def cmd_tightness(config: Config, checkpoint_path, methods=TIGHTNESS_METHODS, bi
             skipped += 1
             continue
         for m in methods:
-            margin = method_bound(net, x, y, eps, m, rng=rng,
-                                  attack=AttackConfig(steps=50, restarts=3 if m == "pgd" else 1))
+            margin = method_bound(net, x, y, eps, m, rng=rng)
             errors[m].append(margin - res.margin)
     if skipped == len(ds):
         raise ConfigError(

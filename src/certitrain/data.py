@@ -133,8 +133,8 @@ def resolve_data_dir(flag_value=None):
 
 def synthetic_moons(n, noise=0.05, seed=0) -> Dataset:
     """Two interleaved arcs in [0, 1]^2; classic fast smoke-test corpus."""
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    if n < 1:
+        raise ValueError("need at least 1 sample")
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0

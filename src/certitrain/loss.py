@@ -41,14 +41,14 @@ class NumericError(RuntimeError):
     attacked loss exceeds its sound bound."""
 
 
-LOSS_TAGS = ("natural", "pgd_at", "ibp", "taps_single", "taps_multi", "sabr", "staps")
+LOSS_TAGS = ("natural", "pgd-at", "ibp", "taps", "taps-single", "sabr", "staps")
 
 
 @dataclass(frozen=True)
 class LossKind:
     """Selection and hyperparameters for one training objective."""
 
-    tag: str = "taps_multi"
+    tag: str = "taps"
     w_taps: float = 5.0  # gradient scaling weight; alpha = w / (1 + w); inf allowed
     connector: ConnectorParams = field(default_factory=ConnectorParams)
     attack: AttackConfig = field(default_factory=AttackConfig)
@@ -73,11 +73,11 @@ class LossKind:
 
     @property
     def uses_product(self):
-        return self.tag in ("taps_single", "taps_multi", "staps")
+        return self.tag in ("taps", "taps-single", "staps")
 
     @property
     def multi(self):
-        return self.tag != "taps_single"
+        return self.tag != "taps-single"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +218,7 @@ def combined_gradient(net: Network, box: BoxBounds, y, kind: LossKind, rng,
         T.mul(mean_bound, tape.constant(mean_attacked.value)), 2.0 - 2.0 * alpha
     )
     grads = param_grads(tape, params, T.add(attacked_branch, bound_branch))
+    tape.nodes.clear()  # Node.tape points back: free the graph now, not at the next gc
     diag = dict(
         bound_loss=float(mean_bound.value),
         attacked_loss=float(mean_attacked.value),
@@ -365,7 +366,5 @@ def fast_regularizer_vjp(net, input_box: BoxBounds, lam, collected, g):
 
 def l1_penalty(arrays, lam):
     """(value, gradients) of lam * sum|theta|; sign(0) = 0."""
-    if lam == 0.0:
-        return 0.0, [np.zeros_like(a) for a in arrays]
     value = lam * float(sum(np.abs(a).sum() for a in arrays))
     return value, [lam * np.sign(a) for a in arrays]

@@ -253,7 +253,9 @@ def _natural_grads(net, X, y):
     params = lift_params(tape, net)
     logits = forward_on_tape(net, params, tape.constant(np.asarray(X, dtype=np.float64)))
     root = T.mean_all(ce_terms(logits, y))
-    return param_grads(tape, params, root), float(root.value)
+    grads = param_grads(tape, params, root)
+    tape.nodes.clear()  # Node.tape points back: free the graph now, not at the next gc
+    return grads, float(root.value)
 
 
 def global_grad_norm(grads):
@@ -290,7 +292,7 @@ def train_step(batch, state: RunState, config: TrainConfig, steps_per_epoch):
     bound_value = None
     if kind.tag == "natural":
         grads, objective = _natural_grads(state.net, X, y)
-    elif kind.tag == "pgd_at":
+    elif kind.tag == "pgd-at":
         adv = pgd_input(state.net, X, y, eps, kind.attack, rng=rng)
         grads, objective = _natural_grads(state.net, adv, y)
     else:
@@ -356,8 +358,7 @@ def _certified_mask(net: Network, X, y, eps):
     return margin_loss(elided_bounds(net, box, y).hi, y) < 0.0
 
 
-def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None, *,
-                  rng) -> float:
+def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig, *, rng) -> float:
     """Fraction of samples whose latent attack points are all classified right.
 
     With an empty classifier this is interval-certified accuracy; with eps=0
@@ -366,7 +367,6 @@ def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig | None = None, *
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    attack = attack or AttackConfig(steps=8)
     if net.split_index >= len(net.layers):
         return float(np.mean(_certified_mask(net, X, y, eps)))
     correct, chunk = 0, 256

@@ -94,6 +94,8 @@ _PRUNE_MARGIN = 1e-6
 # Later passes reject little more: on 100 random small instances, 1 pass left
 # 1,262 LPs, 4 passes 977 and 10 passes 959.
 _TIGHTEN_PASSES = 4
+# the oracle answers Unknown once it has enumerated more patterns than this
+MAX_PATTERNS = 200_000
 
 
 def _tighten_box(a_ub, b_ub, lo, hi):
@@ -162,7 +164,7 @@ def _corner_is_optimal(m, corners, a_ub, b_ub):
 
 
 def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
-                        max_patterns=200_000, reached=None) -> OracleResult:
+                        reached=None) -> OracleResult:
     """Exact worst-case margin max over the box of max_{i != y} (o_i - o_y).
 
     Enumerates activation patterns of unstable ReLUs; per pattern solves one
@@ -283,8 +285,8 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
             return
         if layer_idx == len(elided.layers):
             patterns += 1
-            if patterns > max_patterns:
-                stop = f"pattern count exceeded {max_patterns}"
+            if patterns > MAX_PATTERNS:
+                stop = f"pattern count exceeded {MAX_PATTERNS}"
                 return
             solve_leaf(m, v, n)
             return
@@ -774,15 +776,13 @@ def method_bound(net: Network, x, y, eps, method, attack=None, *, rng) -> float:
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
         return margin_loss(certify_ibp(net, x, y, eps)[1], y)
+    cfg = attack or AttackConfig(steps=50, restarts=3 if method == "pgd" else 1)
     if method == "pgd":
-        return pgd_margins(net, x[None], [y], eps, attack or AttackConfig(steps=50, restarts=3),
-                           rng=rng)[0]
+        return pgd_margins(net, x[None], [y], eps, cfg, rng=rng)[0]
     if method == "sabr":
-        cfg = attack or AttackConfig(steps=50)
         region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.4 * eps, cfg, rng=rng)
         return margin_loss(elided_bounds(net, region, [y]).hi[0], y)
     if method == "taps":
-        cfg = attack or AttackConfig(steps=50)
         latent_box = propagate_box(net, box_from_ball(x[None], eps), stop=net.split_index)
         points, targets = pgd_latent(net, latent_box, np.asarray([y]), cfg,
                                      multi=True, rng=rng)
@@ -845,6 +845,7 @@ def per_sample_loss_grads(net: Network, X, y, eps, *, multi=True, connector=None
             multi=multi, connector=connector, attack=attack, rng=rng)
         flat_f = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(attacked))])
         flat_g = np.concatenate([g.ravel() for g in param_grads(tape, params, T.mean_all(bound))])
+        tape.nodes.clear()  # Node.tape points back: free the graph now, not at the next gc
         f_vals.append(float(attacked.value[0]))
         g_vals.append(float(bound.value[0]))
         f_grads.append(flat_f)

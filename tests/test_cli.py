@@ -25,6 +25,7 @@ from certitrain.cli import (
     prepared_test_set,
 )
 from certitrain.data import synthetic_digits
+from certitrain.loss import LOSS_TAGS
 from certitrain.net import Affine, Network, ReLU, build_architecture, init_params
 from certitrain.verify import pgd_margins
 
@@ -57,6 +58,13 @@ def test_tau_without_sabr_rejected():
 def test_sabr_without_tau_rejected():
     with pytest.raises(ConfigError, match="requires --tau-ratio"):
         config_from_dict({"loss": "sabr"})
+
+
+@pytest.mark.parametrize("loss", LOSS_TAGS)
+def test_loss_names_are_loss_kind_tags(loss):
+    tau = 0.4 if loss in ("sabr", "staps") else None
+    cfg = config_from_dict({"loss": loss, "tau_ratio": tau})
+    assert cfg.train_config().loss.tag == loss
 
 
 def test_presets_all_validate():
@@ -97,6 +105,8 @@ BAD_CONFIGS = [
     {"fast_reg_lambda": -0.5},
     {"oracle_budget": -1},
     {"subset": 0},
+    {"subset": 1},  # one sample cannot fill the training and the validation split
+    {"dataset": "moons", "subset": 1},
     {"test_subset": 0},
 ]
 
@@ -318,12 +328,31 @@ def test_tightness_unknown_method_rejected_before_oracle(tmp_path, capsys, monke
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_tightness_bins_below_one_exits_2_before_loading(tmp_path, capsys, bins):
+    rc = main(["tightness", "--checkpoint", str(tmp_path / "missing.ckpt"), "--bins", bins,
+               "--dataset", "moons", "--test-subset", "5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: bins") and len(err.strip().splitlines()) == 1
+
+
 def test_tightness_input_shape_mismatch_exits_2(tmp_path, capsys):
     rc = _tightness_main(tmp_path, (5,), "ibp,pgd")
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: checkpoint expects input (5,)")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_moons_certify_one_sample(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(build_architecture("mlp", (2,), 2, 1, hidden=(4, 4)), 0))
+    rc = main(["certify", "--checkpoint", str(path), "--dataset", "moons", "--test-subset", "1",
+               "--eval-attack-steps", "5", "--eval-attack-restarts", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len((tmp_path / "out" / "verdicts.jsonl").read_text().splitlines()) == 1
 
 
 def test_mnist_dataset_requires_data_dir(monkeypatch):

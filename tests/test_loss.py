@@ -1,5 +1,7 @@
 """Loss definitions: values, orderings, degenerations, and gradient scaling."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -266,7 +268,7 @@ def test_combined_gradient_alpha_half_is_product_rule():
     t = margin_targets(3, y)
     rel = rng.uniform(0.2, 0.8, size=(4, t.shape[1], net.shape_after(net.split_index)[0]))
 
-    kind = LossKind(tag="taps_multi", w_taps=1.0, connector=ConnectorParams(c=1.0))
+    kind = LossKind(tag="taps", w_taps=1.0, connector=ConnectorParams(c=1.0))
     grads, diag = combined_gradient(net, box_from_ball(X, eps), y, kind, np.random.default_rng(0),
                                     latent_provider=relative_provider(rel, t))
     fd = numeric_batch_grad(net, X, y, eps, kind, rel, t)
@@ -277,10 +279,10 @@ def test_combined_gradient_alpha_half_is_product_rule():
 
 
 def test_combined_gradient_weight_mapping():
-    kind = LossKind(tag="taps_multi", w_taps=5.0)
+    kind = LossKind(tag="taps", w_taps=5.0)
     assert abs(kind.alpha - 5 / 6) < 1e-12
     assert abs((2 - 2 * kind.alpha) - 1 / 3) < 1e-12
-    inf_kind = LossKind(tag="taps_multi", w_taps=float("inf"))
+    inf_kind = LossKind(tag="taps", w_taps=float("inf"))
     assert inf_kind.alpha == 1.0
 
 
@@ -293,7 +295,7 @@ def test_combined_gradient_alpha_one_is_scaled_taps_direction():
     rel = rng.uniform(0.2, 0.8, size=(3, t.shape[1], net.shape_after(net.split_index)[0]))
     provider = relative_provider(rel, t)
 
-    inf_kind = LossKind(tag="taps_multi", w_taps=float("inf"))
+    inf_kind = LossKind(tag="taps", w_taps=float("inf"))
     box = box_from_ball(X, 0.05)
     g_inf, diag = combined_gradient(net, box, y, inf_kind, np.random.default_rng(0),
                                     latent_provider=provider)
@@ -357,3 +359,21 @@ def test_loss_kind_validation():
     with pytest.raises(ValueError, match="unknown loss"):
         LossKind(tag="trades")
     LossKind(tag="sabr", tau_ratio=0.4)  # valid
+
+
+def test_combined_gradient_leaves_no_garbage():
+    """The step's graph is freed on return: ``Tape.nodes`` and ``Node.tape``
+    point at each other, so a kept node list would wait for the cyclic
+    collector."""
+    net = init_params(build_architecture("mlp", (784,), 10, 1, hidden=(128, 128)), 3)
+    rng = np.random.default_rng(4)
+    X, y = rng.uniform(size=(128, 784)), rng.integers(0, 10, size=128)
+    kind = LossKind(tag="taps", attack=AttackConfig(steps=2))
+    gc.collect()
+    gc.disable()
+    try:
+        combined_gradient(net, box_from_ball(X, 0.1), y, kind, rng)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

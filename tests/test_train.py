@@ -118,7 +118,7 @@ def moons_config(tag="ibp", **kw):
     return TrainConfig(**defaults)
 
 
-@pytest.mark.parametrize("tag", ["natural", "pgd_at", "ibp", "taps_multi", "taps_single", "sabr", "staps"])
+@pytest.mark.parametrize("tag", ["natural", "pgd-at", "ibp", "taps", "taps-single", "sabr", "staps"])
 def test_smoke_run_every_loss_kind(tag, tmp_path):
     ds = synthetic_moons(200, noise=0.08, seed=1)
     config = moons_config(tag)
@@ -150,7 +150,7 @@ def test_moons_natural_training_reaches_99():
 
 def test_annealing_never_touches_latent_pipeline():
     ds = synthetic_moons(120, seed=5)
-    config = moons_config("taps_multi", classifier_relus=1)
+    config = moons_config("taps", classifier_relus=1)
     sched = config.schedule
     with tempfile.TemporaryDirectory() as tmp:
         result = train_run(config, ds, tmp)
@@ -188,7 +188,7 @@ def test_staps_step_selects_one_region(tmp_path, monkeypatch):
 def test_empty_classifier_taps_matches_ibp_bitwise(tmp_path):
     ds = synthetic_moons(150, seed=7)
     cfg_ibp = moons_config("ibp", classifier_relus=0, record_time=False)
-    cfg_taps = moons_config("taps_multi", classifier_relus=0, record_time=False)
+    cfg_taps = moons_config("taps", classifier_relus=0, record_time=False)
     r1 = train_run(cfg_ibp, ds, tmp_path / "ibp")
     r2 = train_run(cfg_taps, ds, tmp_path / "taps0")
     csv1 = (tmp_path / "ibp" / "metrics.csv").read_bytes()
@@ -203,7 +203,7 @@ def test_empty_classifier_taps_matches_ibp_bitwise(tmp_path):
 def test_same_seed_reproduces_csv_bytes(tmp_path):
     ds = synthetic_moons(150, seed=9)
     for name in ("a", "b"):
-        train_run(moons_config("taps_multi", record_time=False), ds, tmp_path / name)
+        train_run(moons_config("taps", record_time=False), ds, tmp_path / name)
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
@@ -259,7 +259,8 @@ def test_taps_accuracy_eps_zero_is_natural():
 def test_taps_accuracy_empty_classifier_is_certified():
     ds = synthetic_moons(80, seed=13)
     net = init_params(build_architecture("mlp", (2,), 2, 0, hidden=(16,)), 5)
-    t = taps_accuracy(net, ds.images, ds.labels, 0.05, rng=np.random.default_rng(0))
+    t = taps_accuracy(net, ds.images, ds.labels, 0.05, AttackConfig(steps=8),
+                      rng=np.random.default_rng(0))
     certified = np.mean([
         certify_ibp(net, ds.images[i], int(ds.labels[i]), 0.05)[0]
         for i in range(len(ds))
