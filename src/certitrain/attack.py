@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import BoxBounds, box_from_ball
+from . import tensor as T
+from .interval import BoxBounds, box_from_ball, propagate_box
 from .net import Network, forward_backward_input, forward_batch
 
 __all__ = [
     "AttackConfig",
     "pgd_input",
     "pgd_latent",
+    "latent_attack_logits",
     "sabr_select_region",
     "margin_targets",
     "ce_rows",
@@ -111,7 +113,7 @@ def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
     forward-only, because its gradient is never used.
     """
     lead = np.shape(labels)
-    r, stop = cfg.restarts, len(net.layers)
+    r = cfg.restarts
     shape = (r,) + lo.shape
     feat = shape[1 + len(lead):]
     eta = (hi - lo) / cfg.steps
@@ -125,9 +127,9 @@ def _ascend(net, start, lo, hi, labels, targets, cfg, rng):
     for step in range(cfg.steps + 1):
         last = step == cfg.steps
         if last:
-            vals, _ = seed_fn(forward_batch(net, x, start=start, stop=stop))
+            vals, _ = seed_fn(forward_batch(net, x, start=start))
         else:
-            vals, g = forward_backward_input(net, x, seed_fn, start=start, stop=stop)
+            vals, g = forward_backward_input(net, x, seed_fn, start=start)
         if best_val is None:
             best_val = vals.copy()
         else:
@@ -165,12 +167,8 @@ def pgd_input(net: Network, x, y, eps, cfg: AttackConfig, rng):
 
 
 def margin_targets(num_classes, y):
-    """All wrong classes per sample: (B, K-1) target matrix."""
-    y = np.asarray(y, dtype=np.intp)
-    k = num_classes
-    grid = np.tile(np.arange(k), (y.size, 1))
-    keep = grid != y[:, None]
-    return grid[keep].reshape(y.size, k - 1)
+    """All wrong classes per sample: the (B, K-1) column index of :func:`tensor.drop_col`."""
+    return T.drop_col_keep(np.broadcast_to(0.0, (len(y), num_classes)), y)
 
 
 def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, *, rng):
@@ -200,6 +198,17 @@ def pgd_latent(net: Network, box: BoxBounds, y, cfg: AttackConfig, multi=True, *
     best = _ascend(net, start, per_target(lo), per_target(hi),
                    np.broadcast_to(y[:, None], (b, t)), targets, cfg, rng)
     return best, targets
+
+
+def latent_attack_logits(net: Network, x, y, eps, cfg: AttackConfig, *, rng):
+    """:func:`pgd_latent` in multi mode on the latent boxes of the eps-balls
+    around ``x``: (classifier logits (B, T, K) at each target's point,
+    targets (B, T))."""
+    box = propagate_box(net, box_from_ball(x, eps), stop=net.split_index)
+    points, targets = pgd_latent(net, box, y, cfg, multi=True, rng=rng)
+    b, t = targets.shape
+    logits = forward_batch(net, points.reshape((b * t,) + points.shape[2:]), start=net.split_index)
+    return logits.reshape(b, t, -1), targets
 
 
 def sabr_select_region(net: Network, x, y, eps, tau, cfg: AttackConfig, rng) -> BoxBounds:

@@ -45,8 +45,8 @@ from .data import (
     synthetic_moons,
     take_subset,
 )
-from .loss import LOSS_TAGS, LossKind
-from .net import forward_batch
+from .loss import LossKind
+from .net import build_architecture, forward_batch
 from .train import NumericError, Schedule, TrainConfig, taps_accuracy, train_run
 from .verify import (
     SampleVerdict,
@@ -118,13 +118,6 @@ class Config:
         settings describe; raises ConfigError."""
         for f in dataclasses.fields(self):
             setattr(self, f.name, _coerce(f.name, getattr(self, f.name)))
-        if self.loss not in LOSS_TAGS:
-            raise ConfigError(f"loss: unknown value {self.loss!r} (choose from {sorted(LOSS_TAGS)})")
-        if self.loss in ("sabr", "staps"):
-            if self.tau_ratio is None:
-                raise ConfigError(f"loss {self.loss!r} requires --tau-ratio")
-        elif self.tau_ratio is not None:
-            raise ConfigError(f"tau_ratio conflicts with loss {self.loss!r} (sabr/staps only)")
         if self.dataset not in DATASETS:
             raise ConfigError(f"dataset: unknown value {self.dataset!r} (choose from {DATASETS})")
         for name, low in (("jobs", 1), ("test_subset", 1), ("oracle_budget", 0)):
@@ -265,7 +258,13 @@ def load_dataset(config: Config, split="train") -> Dataset:
 
 
 def prepared_train_set(config: Config) -> Dataset:
+    """The training set; rejects an architecture that cannot take its samples."""
     ds = load_dataset(config, "train")
+    try:
+        build_architecture(config.arch, ds.sample_shape, ds.num_classes, 0, hidden=config.hidden)
+    except ValueError as e:
+        raise ConfigError(f"arch {config.arch!r} cannot take the dataset's input shape "
+                          f"{ds.sample_shape}: {e}") from None
     if config.subset:
         ds = take_subset(ds, config.subset, seed=config.seed)
     return ds

@@ -84,13 +84,22 @@ def propagate_box(net: Network, box: BoxBounds, stop=None, collect=None, kept=No
 def elided_bounds(net: Network, box: BoxBounds, labels) -> BoxBounds:
     """Concrete :func:`elided_bounds_on_tape`: bounds on logit differences
     with the final affine layer elided per sample label."""
-    last = net.layers[-1]
-    box = propagate_box(net, box, stop=-1)
-    raw = box.center @ last.weight.T.copy() + last.bias
+    return elided_layer(net.layers[-1], propagate_box(net, box, stop=-1), labels)
+
+
+def elided_layer(last, box: BoxBounds, labels, kept=None) -> BoxBounds:
+    """:func:`elided_bounds_on_tape`'s elided final layer ``last`` on ``box``,
+    the bounds entering it; ``kept`` receives the forward products its
+    reverse pass reads, as in ``Layer.box``."""
+    center, radius = box.center, box.radius
+    wt = last.weight.T.copy()  # as T.transpose makes
+    raw = center @ wt + last.bias
     labels = T._check_labels("elided_bounds", raw, labels)
+    diff, absdiff = T.elided_weight_diffs(last.weight, labels)
     c_out = raw - raw[np.arange(len(labels)), labels][:, None]
-    absdiff = T.elided_weight_diffs(last.weight, labels)[1]
-    r_out = np.einsum("bn,bkn->bk", box.radius, absdiff, optimize=True)
+    r_out = np.einsum("bn,bkn->bk", radius, absdiff, optimize=True)
+    if kept is not None:
+        kept.update(center=center, radius=radius, wt=wt, diff=diff, absdiff=absdiff, labels=labels)
     return BoxBounds(c_out - r_out, c_out + r_out)
 
 

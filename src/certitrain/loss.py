@@ -23,7 +23,8 @@ import numpy as np
 from . import tensor as T
 from .attack import AttackConfig, pgd_latent
 from .connector import ConnectorParams, connector_node
-from .interval import BoxBounds, elided_bounds_on_tape, input_box_nodes, propagate_box_on_tape
+from .interval import (BoxBounds, elided_bounds_on_tape, elided_layer, input_box_nodes,
+                       propagate_box_on_tape)
 from .net import Network, ReLU, forward_on_tape, lift_params, param_grads
 
 __all__ = [
@@ -56,7 +57,7 @@ class LossKind:
 
     def __post_init__(self):
         if self.tag not in LOSS_TAGS:
-            raise ValueError(f"unknown loss tag {self.tag!r}")
+            raise ValueError(f"unknown loss {self.tag!r} (choose from {sorted(LOSS_TAGS)})")
         if not (self.w_taps >= 0):  # also rejects NaN
             raise ValueError("w_taps must be >= 0 (inf allowed)")
         if self.tag in ("sabr", "staps"):
@@ -142,13 +143,11 @@ def paired_loss_terms(tape, net, params, box: BoxBounds, y, *, multi=True,
     bound_terms = bound_ce_terms(bounds.hi, y)
 
     lo_v, hi_v = latent.lo.value, latent.hi.value
-    latent_box = BoxBounds(lo_v, hi_v)
+    found = (latent_provider(lo_v, hi_v, y, rng) if latent_provider is not None
+             else pgd_latent(net, BoxBounds(lo_v, hi_v), y, attack, multi=multi, rng=rng))
 
     if multi:
-        if latent_provider is None:
-            points, targets = pgd_latent(net, latent_box, y, attack, multi=True, rng=rng)
-        else:
-            points, targets = latent_provider(lo_v, hi_v, y, rng)
+        points, targets = found
         b, t = targets.shape
         lo_rep = T.repeat_rows(latent.lo, t)
         hi_rep = T.repeat_rows(latent.hi, t)
@@ -159,11 +158,7 @@ def paired_loss_terms(tape, net, params, box: BoxBounds, y, *, multi=True,
         picked = T.pick_cols(diffs, targets.reshape(-1))
         attacked_terms = T.log1p_sum_exp_rows(T.reshape(picked, (b, t)))
     else:
-        if latent_provider is None:
-            points = pgd_latent(net, latent_box, y, attack, multi=False, rng=rng)
-        else:
-            points = latent_provider(lo_v, hi_v, y, rng)
-        z_node = connector_node(latent.lo, latent.hi, points, connector)
+        z_node = connector_node(latent.lo, latent.hi, found, connector)
         logits = forward_on_tape(net, params, z_node, start=split)
         attacked_terms = ce_terms(logits, y)
 
@@ -283,29 +278,25 @@ def elided_ce_vjp(last, box: BoxBounds, y):
     enter the final affine layer ``last``, with its reverse pass: (mean,
     adjoint of ``box.lo``, adjoint of ``box.hi``, [weight grad, bias grad]).
 
-    The numpy twin of the elided layer of :func:`elided_bounds_on_tape`,
-    :func:`bound_ce_terms` and the mean: each value and adjoint repeats its
-    node's arithmetic, in the tape's order.  The lower elided bound feeds
-    nothing, so it is not formed.
+    The numpy twin of :func:`bound_ce_terms` and the mean over the elided
+    layer of :func:`interval.elided_layer`, whose kept forward products the
+    adjoints read: each adjoint repeats its node's arithmetic, in the
+    tape's order.
     """
-    center = (box.lo + box.hi) * 0.5
-    radius = (box.hi - box.lo) * 0.5
-    wt = last.weight.T.copy()
-    raw = center @ wt + last.bias
-    y = T._check_labels("elided_ce_vjp", raw, y)
-    diff, absdiff = T.elided_weight_diffs(last.weight, y)
-    c_out = raw - raw[np.arange(len(y)), y][:, None]
-    hi = c_out + np.einsum("bn,bkn->bk", radius, absdiff, optimize=True)
+    kept = {}
+    hi = elided_layer(last, box, y, kept).hi
+    y = kept["labels"]
     keep = T.drop_col_keep(hi, y)
     dropped = hi[np.arange(len(y))[:, None], keep]
     terms = T.log1p_sum_exp(dropped)
 
     g_terms = np.full(terms.shape, 1.0 / terms.size)
     g_hi = T.drop_col_vjp(T.log1p_sum_exp_vjp(g_terms, dropped, terms), keep, hi.shape)
-    g_radius, g_weight = T.elided_abs_linear_vjp(g_hi, radius, diff, absdiff, y)
+    g_radius, g_weight = T.elided_abs_linear_vjp(g_hi, kept["radius"], kept["diff"],
+                                                 kept["absdiff"], y)
     g_raw = T.sub_col_pick_vjp(g_hi, y)
-    grads = [g_weight + (center.T @ g_raw).T, g_raw.sum(axis=0)]
-    g_a, g_s = (g_raw @ wt.T) * 0.5, g_radius * 0.5
+    grads = [g_weight + (kept["center"].T @ g_raw).T, g_raw.sum(axis=0)]
+    g_a, g_s = (g_raw @ kept["wt"].T) * 0.5, g_radius * 0.5
     return float(terms.mean()), g_a - g_s, g_s + g_a, grads
 
 

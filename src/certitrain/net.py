@@ -476,21 +476,20 @@ def elide_final_layer(net: Network, y: int) -> Network:
     return Network(layers, net.split_index, net.num_classes, net.input_shape)
 
 
-def forward_backward_input(net: Network, x, seed_grad, start=0, stop=None):
-    """Forward through layers[start:stop] plus the input gradient only.
+def forward_backward_input(net: Network, x, seed_grad, start=0):
+    """Forward through layers[start:] plus the input gradient only.
 
     Attack inner loops need d(objective)/d(input) but never parameter
     gradients; skipping the weight-gradient products roughly halves the cost
     of a PGD step.  ``seed_grad(out) -> (objective_values, d_out)`` supplies
     the output-side gradient.  Returns (objective_values, d_input).
     """
-    stop = len(net.layers) if stop is None else stop
     x = np.asarray(x, dtype=np.float64)
     acts = [x]
-    for layer in net.layers[start:stop]:
+    for layer in net.layers[start:]:
         acts.append(layer.forward(acts[-1]))
     values, g = seed_grad(acts[-1])
-    for i in range(stop - 1, start - 1, -1):
+    for i in range(len(net.layers) - 1, start - 1, -1):
         g = net.layers[i].input_vjp(g, acts[i - start])
     return values, g
 

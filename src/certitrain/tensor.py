@@ -326,13 +326,17 @@ def drop_col_vjp(g, keep, shape):
 # Convolution (NCHW, im2col)
 # ---------------------------------------------------------------------------
 
+def _out_size(h, w, kh, kw, stride, padding):
+    """(OH, OW): the output size of a kh x kw kernel over an h x w input."""
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
 def _conv_geometry(x_shape, w_shape, stride, padding):
     b, c, h, w = x_shape
     oc, ic, kh, kw = w_shape
     if ic != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {ic}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = _out_size(h, w, kh, kw, stride, padding)
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv2d: empty output for input {x_shape}, kernel {w_shape}")
     return oh, ow
@@ -370,8 +374,7 @@ def _tap_plan(h, w, kh, kw, stride, padding):
     the index of those pixels in channel-major ``x`` (both None when there
     are none).
     """
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = _out_size(h, w, kh, kw, stride, padding)
     every = slice(0, oh)
     plan = []
     for i in range(kh):
@@ -424,8 +427,7 @@ def im2col(x, kh, kw, stride, padding):
     (real pixels can lie past an OH x OW plane).  Every entry is a copy.
     """
     b, c, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = _out_size(h, w, kh, kw, stride, padding)
     n = b * oh * ow
     xt = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, kh, kw, n), dtype=np.float64)
@@ -462,8 +464,7 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
     no sum.
     """
     b, c, h, w = x_shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = _out_size(h, w, kh, kw, stride, padding)
     n = b * oh * ow
     cols = cols.reshape(c, kh, kw, n)
     x = np.zeros(x_shape, dtype=np.float64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attack import AttackConfig, ce_rows, pgd_input, pgd_latent, sabr_select_region
+from .attack import AttackConfig, ce_rows, latent_attack_logits, pgd_input, sabr_select_region
 from .checkpoint import save_checkpoint
 from .data import Dataset, batches, train_val_split
 from .interval import box_from_ball, elided_bounds, propagate_box
@@ -371,16 +371,11 @@ def taps_accuracy(net: Network, X, y, eps, attack: AttackConfig, *, rng) -> floa
         return float(np.mean(_certified_mask(net, X, y, eps)))
     correct, chunk = 0, 256
     for start in range(0, X.shape[0], chunk):
-        xs = X[start : start + chunk]
         ys = y[start : start + chunk]
-        latent_box = propagate_box(net, box_from_ball(xs, eps), stop=net.split_index)
-        points, targets = pgd_latent(net, latent_box, ys, attack, multi=True, rng=rng)
-        b, t = targets.shape
-        labels = np.repeat(ys, t)
-        logits = forward_batch(net, points.reshape((b * t,) + points.shape[2:]),
-                               start=net.split_index)
-        worst = margin_loss(logits - logits[np.arange(b * t), labels][:, None], labels)
-        correct += int(np.sum(np.all(worst.reshape(b, t) < 0.0, axis=1)))
+        logits, _ = latent_attack_logits(net, X[start : start + chunk], ys, eps, attack, rng=rng)
+        own = np.take_along_axis(logits, ys[:, None, None], axis=2)
+        worst = margin_loss(logits - own, ys[:, None])  # (B, T): every point's margin
+        correct += int(np.sum(np.all(worst < 0.0, axis=1)))
     return correct / X.shape[0]
 
 

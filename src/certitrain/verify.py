@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import tensor as T
-from .attack import AttackConfig, pgd_input, pgd_latent, sabr_select_region
+from .attack import AttackConfig, latent_attack_logits, pgd_input, sabr_select_region
 from .interval import BoxBounds, box_from_ball, elided_bounds, ibp_bounds, propagate_box
 from .loss import margin_loss, paired_loss_terms
 from .net import Network, ReLU, elide_final_layer, forward_batch, lift_params, param_grads
@@ -170,7 +170,9 @@ def exact_margin_oracle(net: Network, x, y, eps, budget_unstable=20,
     Enumerates activation patterns of unstable ReLUs; per pattern solves one
     LP per wrong class (or the corner formula when the pattern imposes no
     constraints).  Returns Unknown when the instance exceeds the budgets or
-    an LP fails; ``n_patterns`` counts every enumerated pattern.
+    an LP fails; ``n_patterns`` counts every enumerated pattern: at most 2^u
+    for u <= ``budget_unstable`` unstable ReLUs, so ``MAX_PATTERNS`` binds
+    only at budgets of 18 or more (2^17 = 131,072), never at the CLI's 12.
     ``reached`` is a margin that some point of the input box is known to
     reach, such as a PGD margin; ``None`` (or a non-finite value) means no
     such point is known.
@@ -770,8 +772,9 @@ def method_bound(net: Network, x, y, eps, method, attack=None, *, rng) -> float:
 
     ``ibp`` is a sound upper bound, ``pgd`` a feasible-point value (an
     under-approximation), ``sabr``/``taps`` may err on either side.  ``sabr``
-    bounds a small box of radius 0.4 * eps.  Every method takes ``rng``, the
-    generator its attack draws from; ``ibp`` draws nothing.
+    bounds a small box of radius 0.4 * eps, or at eps 0 the point box, as
+    training does.  Every method takes ``rng``, the generator its attack
+    draws from; ``ibp`` draws nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     if method == "ibp" or (method == "taps" and net.split_index >= len(net.layers)):
@@ -780,14 +783,12 @@ def method_bound(net: Network, x, y, eps, method, attack=None, *, rng) -> float:
     if method == "pgd":
         return pgd_margins(net, x[None], [y], eps, cfg, rng=rng)[0]
     if method == "sabr":
-        region = sabr_select_region(net, x[None], np.asarray([y]), eps, 0.4 * eps, cfg, rng=rng)
+        region = (sabr_select_region(net, x[None], np.asarray([y]), eps, 0.4 * eps, cfg, rng=rng)
+                  if eps > 0.0 else box_from_ball(x[None], 0.0))
         return margin_loss(elided_bounds(net, region, [y]).hi[0], y)
     if method == "taps":
-        latent_box = propagate_box(net, box_from_ball(x[None], eps), stop=net.split_index)
-        points, targets = pgd_latent(net, latent_box, np.asarray([y]), cfg,
-                                     multi=True, rng=rng)
-        logits = forward_batch(net, points[0], start=net.split_index)
-        return float((logits[np.arange(targets.shape[1]), targets[0]] - logits[:, y]).max())
+        logits, targets = latent_attack_logits(net, x[None], [y], eps, cfg, rng=rng)
+        return float((logits[0, np.arange(targets.shape[1]), targets[0]] - logits[0, :, y]).max())
     raise ValueError(f"unknown method {method!r}")
 
 

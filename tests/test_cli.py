@@ -25,7 +25,7 @@ from certitrain.cli import (
     prepared_test_set,
 )
 from certitrain.data import synthetic_digits
-from certitrain.loss import LOSS_TAGS
+from certitrain.loss import LOSS_TAGS, LossKind
 from certitrain.net import Affine, Network, ReLU, build_architecture, init_params
 from certitrain.verify import pgd_margins
 
@@ -51,13 +51,21 @@ def test_unknown_config_key_rejected():
 
 
 def test_tau_without_sabr_rejected():
-    with pytest.raises(ConfigError, match="tau_ratio conflicts"):
+    with pytest.raises(ConfigError, match="tau_ratio is only meaningful"):
         config_from_dict({"loss": "taps", "tau_ratio": 0.4})
 
 
 def test_sabr_without_tau_rejected():
-    with pytest.raises(ConfigError, match="requires --tau-ratio"):
+    with pytest.raises(ConfigError, match="needs tau_ratio"):
         config_from_dict({"loss": "sabr"})
+
+
+def test_loss_errors_are_loss_kind_messages():
+    with pytest.raises(ValueError) as kind:
+        LossKind(tag="sabr")
+    with pytest.raises(ConfigError) as config:
+        config_from_dict({"loss": "sabr"})
+    assert str(config.value) == f"training: {kind.value}"
 
 
 @pytest.mark.parametrize("loss", LOSS_TAGS)
@@ -76,7 +84,7 @@ def test_presets_all_validate():
 def test_exit_code_on_config_error(capsys):
     rc = main(["train", "--loss", "sabr"])
     assert rc == 2
-    assert "tau-ratio" in capsys.readouterr().err
+    assert "tau_ratio" in capsys.readouterr().err
 
 
 # each is a config that validation must reject before any training starts
@@ -120,6 +128,18 @@ def test_bad_config_exits_2(tmp_path, capsys, monkeypatch, bad):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--sweep", "split", "--values", "0,1"]],
+                         ids=["train", "ablate"])
+def test_conv_arch_on_vector_dataset_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("certitrain.cli.train_run", lambda *a: pytest.fail("trained"))
+    rc = main([*command, "--dataset", "moons", "--arch", "cnn3", "--subset", "50",
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: arch 'cnn3'") and "(2,)" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def _parsed_config(monkeypatch, argv):
@@ -310,12 +330,13 @@ def test_unknown_certify_method_rejected(tmp_path, capsys):
     assert "orcale" in capsys.readouterr().err
 
 
-def _tightness_main(tmp_path, ckpt_input_shape, methods):
+def _tightness_main(tmp_path, ckpt_input_shape, methods, *flags):
     path = tmp_path / "model.ckpt"
     net = build_architecture("mlp", ckpt_input_shape, 2, 1, hidden=(4, 4))
     save_checkpoint(path, init_params(net, 0))
     return main(["tightness", "--checkpoint", str(path), "--methods", methods,
-                 "--dataset", "moons", "--test-subset", "5", "--out", str(tmp_path / "out")])
+                 "--dataset", "moons", "--test-subset", "5", "--out", str(tmp_path / "out"),
+                 *flags])
 
 
 def test_tightness_unknown_method_rejected_before_oracle(tmp_path, capsys, monkeypatch):
@@ -335,6 +356,15 @@ def test_tightness_bins_below_one_exits_2_before_loading(tmp_path, capsys, bins)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: bins") and len(err.strip().splitlines()) == 1
+
+
+def test_tightness_at_eps_0(tmp_path):
+    """SABR at eps 0 bounds the point box, as training does: no small region
+    to select, so its histogram is IBP's; TAPS's point attack is PGD's."""
+    assert _tightness_main(tmp_path, (2,), "ibp,pgd,sabr,taps", "--epsilon", "0") == 0
+    hist = {m: (tmp_path / "out" / f"tightness_{m}.csv").read_text()
+            for m in ("ibp", "pgd", "sabr", "taps")}
+    assert hist["sabr"] == hist["ibp"] and hist["taps"] == hist["pgd"]
 
 
 def test_tightness_input_shape_mismatch_exits_2(tmp_path, capsys):
